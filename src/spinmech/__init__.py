@@ -17,21 +17,13 @@ from .machine import (
     Machine,
     MachineSet,
     block_machines,
-    build_partition,
-    entropy_density,
-    excess_entropy,
-    spin_machine,
     spin_machines,
-    statistical_complexity,
-    transition_matrices,
 )
 from .markov import (
     BlockChain,
     LocalCharacteristics,
     local_characteristics,
     solve_stochastic,
-    spin_window_chain,
-    stationary,
     window_chain,
 )
 from .models import (
@@ -60,7 +52,6 @@ from .transfer import (
     asymptotic_log_partition,
     build_transfer,
     partition_function,
-    perron,
 )
 
 __version__ = "0.1.0"
@@ -87,13 +78,10 @@ __all__ = [
     "analyze",
     "asymptotic_log_partition",
     "block_machines",
-    "build_partition",
     "build_transfer",
     "conditional_from_enumeration",
     "empirical_entropy_rate",
-    "entropy_density",
     "enumerate_gibbs",
-    "excess_entropy",
     "local_characteristics",
     "metrics_document",
     "nn_ising",
@@ -103,16 +91,10 @@ __all__ = [
     "partition_function",
     "pbrw",
     "pbrw_ising",
-    "perron",
     "quadratic_system_solve",
     "run_sweep",
     "sample_sequence",
     "solve_stochastic",
-    "spin_machine",
     "spin_machines",
-    "spin_window_chain",
-    "stationary",
-    "statistical_complexity",
-    "transition_matrices",
     "window_chain",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, SpinmechError
 from .hamiltonian import Hamiltonian
 from .lattice import BlockSpace, SpinAlphabet
-from .machine import MERGE_TOL, MachineSet, block_machines, spin_machines
+from .machine import MachineSet, block_machines, spin_machines
 from .markov import BlockChain, solve_stochastic
 from .models import NNNParams, NNParams, PBRWParams, nn_ising, nnn_ising, pbrw_ising
 from .transfer import GROUND_STATE_BETA, build_transfer
@@ -38,8 +38,6 @@ CSV_METRIC_COLUMNS = [
     "max_residual",
     "status",
 ]
-
-RESIDUAL_FLAG_LEVEL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,11 @@ class PointResult:
         return self.block.n_classes
 
 
-def analyze(hamiltonian: Hamiltonian, beta: float, tol: float = MERGE_TOL) -> PointResult:
+def analyze(hamiltonian: Hamiltonian, beta: float) -> PointResult:
     """Run the full pipeline at one point."""
     ts = build_transfer(hamiltonian, beta)
     chain = solve_stochastic(ts)
-    block = block_machines(chain, tol)
+    block = block_machines(chain)
     if hamiltonian.blocks.n == 1:
         # windows of one spin are the blocks themselves; the spin machine is
         # the block machine read per spin
@@ -107,7 +105,7 @@ def analyze(hamiltonian: Hamiltonian, beta: float, tol: float = MERGE_TOL) -> Po
             e_paper=block.e_paper,
         )
     else:
-        spin = spin_machines(chain, tol)
+        spin = spin_machines(chain)
     return PointResult(
         beta=float(beta),
         log_lambda0=ts.log_lambda0,
@@ -308,7 +306,7 @@ def evaluate_sweep_point(model: dict, base_parameters: dict, point: dict) -> dic
             n_states=result.n_states,
             n_classes=result.n_classes,
             max_residual=result.max_residual,
-            status="ok" if result.max_residual <= RESIDUAL_FLAG_LEVEL else "flagged_residual",
+            status="ok",
         )
     except SpinmechError as exc:
         row.update(
@@ -392,7 +390,7 @@ def metrics_document(config: dict, result: PointResult, units: str = "bits") -> 
     """Self-describing JSON document for one analyzed point."""
     scale = LN2 if units == "nats" else 1.0
 
-    def classes(mset: MachineSet, per_emission: int) -> list[dict]:
+    def classes(mset: MachineSet) -> list[dict]:
         out = []
         for machine in mset.machines:
             out.append(
@@ -425,7 +423,7 @@ def metrics_document(config: dict, result: PointResult, units: str = "bits") -> 
             "n_classes": result.n_classes,
             "n_classes_spin": result.spin.n_classes,
             "max_residual": result.max_residual,
-            "block_classes": classes(result.block, 1),
-            "spin_classes": classes(result.spin, result.chain.space.n),
+            "block_classes": classes(result.block),
+            "spin_classes": classes(result.spin),
         },
     }

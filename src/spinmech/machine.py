@@ -13,21 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PartitionAmbiguityError,
-    ReducibleChainError,
-    UnifilarityError,
-)
-from .hamiltonian import Hamiltonian
+from .errors import PartitionAmbiguityError, UnifilarityError
 from .info import entropy_bits, row_entropy_bits
-from .markov import (
-    SUPPORT_FLOOR,
-    BlockChain,
-    restrict_to_class,
-    spin_window_chain,
-    window_chain,
-)
+from .markov import SUPPORT_FLOOR, BlockChain, restrict_to_class, window_chain
 
+# Rows closer than this (max-norm) condition the same future.
 MERGE_TOL = 1e-9
 # Excess-entropy forms are reported as agreeing when closer than this.
 _FORMS_TOL = 1e-9
@@ -85,6 +75,20 @@ class Machine:
     def excess_forms_agree(self) -> bool:
         return abs(self.e_mu - self.e_paper) <= _FORMS_TOL
 
+    @property
+    def labeled_matrices(self) -> np.ndarray:
+        """Symbol-resolved transition matrices, shape (n_symbols, n_states, n_states).
+
+        ``[k, r, q]`` is the probability of emitting ``symbols[k]`` from
+        state r while moving to state q; at most one q per (r, k) is nonzero
+        (unifilarity) and the sum over k is row stochastic.
+        """
+        n_states, n_sym = self.emission.shape
+        labeled = np.zeros((n_sym, n_states, n_states))
+        r, k = np.nonzero(self.successor >= 0)
+        labeled[k, r, self.successor[r, k]] = self.emission[r, k]
+        return labeled
+
 
 @dataclass(frozen=True)
 class MachineSet:
@@ -106,87 +110,13 @@ class MachineSet:
         return max(m.n_states for m in self.machines)
 
 
-def build_partition(chain: BlockChain, tol: float = MERGE_TOL) -> CausalPartition:
-    """Causal partition of an irreducible chain by row equivalence."""
-    if len(chain.classes) != 1:
-        raise ReducibleChainError(
-            "chain has several recurrent classes; partition them one class at a time"
-        )
-    members, sub, pi = restrict_to_class(chain, 0)
-    successors = np.broadcast_to(np.arange(len(members)), (len(members), len(members)))
-    return _partition(members, sub, successors, pi, tol)
-
-
-def statistical_complexity(partition: CausalPartition) -> float:
-    """Shannon entropy over the causal states, in bits."""
-    return entropy_bits(partition.probs)
-
-
-def entropy_density(chain: BlockChain) -> float:
-    """Per-block conditional entropy of the next block given the past, bits."""
-    if chain.pi is None:
-        raise ReducibleChainError("entropy density of a reducible chain is per class")
-    return row_entropy_bits(chain.matrix, chain.pi)
-
-
-def excess_entropy(chain: BlockChain, partition: CausalPartition) -> tuple[float, float]:
-    """(mutual-information form, complexity-minus-rate form) in bits.
-
-    The first value is H[block] - h and is non-negative for every chain;
-    the second is C - h and only coincides with the first when no two
-    blocks merged into one causal state. Both are reported; they are never
-    forced equal.
-    """
-    if chain.pi is None:
-        raise ReducibleChainError("excess entropy of a reducible chain is per class")
-    h = entropy_density(chain)
-    h_block = entropy_bits(chain.pi)
-    e_mu = _clamp_tiny_negative(h_block - h)
-    e_paper = statistical_complexity(partition) - h
-    return e_mu, e_paper
-
-
-def transition_matrices(
-    chain: BlockChain, partition: CausalPartition
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Symbol-resolved transition matrices and their connectivity sum.
-
-    Returns (labeled, connectivity, symbols): ``labeled[k, r, q]`` is the
-    probability of emitting block ``symbols[k]`` from state r while moving
-    to state q; at most one q per (r, k) is nonzero (unifilarity) and the
-    summed connectivity matrix is row stochastic.
-    """
-    members, sub, pi = _single_class(chain)
-    machine = _finish_machine(
-        "block",
-        members,
-        partition,
-        tuple(int(b) for b in members),
-        sub,
-        np.broadcast_to(np.arange(len(members)), (len(members), len(members))),
-        pi,
-        weight=1.0,
-        n=chain.space.n,
-    )
-    n_states = partition.n_states
-    n_sym = len(machine.symbols)
-    labeled = np.zeros((n_sym, n_states, n_states))
-    for k in range(n_sym):
-        for r in range(n_states):
-            q = machine.successor[r, k]
-            if q >= 0:
-                labeled[k, r, q] = machine.emission[r, k]
-    connectivity = labeled.sum(axis=0)
-    return labeled, connectivity, machine.symbols
-
-
-def block_machines(chain: BlockChain, tol: float = MERGE_TOL) -> MachineSet:
+def block_machines(chain: BlockChain) -> MachineSet:
     """Block-emitting machines, one per recurrent class."""
     machines = []
     for index in range(len(chain.classes)):
         members, sub, pi = restrict_to_class(chain, index)
         successors = np.broadcast_to(np.arange(len(members)), (len(members), len(members)))
-        partition = _partition(members, sub, successors, pi, tol)
+        partition = _partition(members, sub, successors, pi)
         machines.append(
             _finish_machine(
                 "block",
@@ -203,7 +133,7 @@ def block_machines(chain: BlockChain, tol: float = MERGE_TOL) -> MachineSet:
     return _ensemble("block", machines)
 
 
-def spin_machines(chain: BlockChain, tol: float = MERGE_TOL) -> MachineSet:
+def spin_machines(chain: BlockChain) -> MachineSet:
     """Spin-emitting machines over sliding windows, one per recurrent class."""
     wchain = window_chain(chain)
     space = wchain.space
@@ -225,7 +155,7 @@ def spin_machines(chain: BlockChain, tol: float = MERGE_TOL) -> MachineSet:
                             f"window {int(w)} leaves its recurrent class on spin {s}"
                         )
                     successors[k, s] = local[target]
-        partition = _partition(members, emission, successors, pi, tol)
+        partition = _partition(members, emission, successors, pi)
         machines.append(
             _finish_machine(
                 "spin",
@@ -242,25 +172,13 @@ def spin_machines(chain: BlockChain, tol: float = MERGE_TOL) -> MachineSet:
     return _ensemble("spin", machines)
 
 
-def spin_machine(hamiltonian: Hamiltonian, beta: float, tol: float = MERGE_TOL) -> MachineSet:
-    """Spin-level machines straight from a model and an inverse temperature."""
-    return spin_machines(spin_window_chain(hamiltonian, beta), tol)
-
-
-def _single_class(chain: BlockChain):
-    if len(chain.classes) != 1:
-        raise ReducibleChainError("operation needs an irreducible chain")
-    return restrict_to_class(chain, 0)
-
-
 def _partition(
     members: np.ndarray,
     emission: np.ndarray,
     successors: np.ndarray,
     pi: np.ndarray,
-    tol: float,
 ) -> CausalPartition:
-    labels = _tolerance_groups(emission, tol)
+    labels = _tolerance_groups(emission, MERGE_TOL)
     labels = _refine(labels, emission, successors)
     order = _canonical_order(labels)
     states = tuple(

@@ -16,13 +16,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InversionError, ReducibleChainError
-from .hamiltonian import Hamiltonian
 from .info import logsumexp
 from .lattice import BlockSpace
-from .transfer import TransferSystem, build_transfer
+from .transfer import TransferSystem
 
 # Entries at or below this are treated as absent edges of the support graph.
 SUPPORT_FLOOR = 1e-12
+# Largest consistency violation a certified stochastic matrix may carry.
+CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,13 @@ def consistency_residual(
     return float(diff[triple]), (int(triple[0]), int(triple[1]), int(triple[2]))
 
 
-def solve_stochastic(ts: TransferSystem, tol: float = 1e-10) -> BlockChain:
+def solve_stochastic(ts: TransferSystem) -> BlockChain:
     """Invert the local characteristics into the block transition matrix.
 
     Uses the spectral closed form with per-row log-domain normalization,
-    then certifies the consistency relation; a residual above ``tol``
-    raises InversionError naming the worst triple.
+    then certifies the consistency relation; a residual above
+    CONSISTENCY_TOL, or one that is not a number, raises InversionError
+    naming the worst triple.
     """
     log_rows = ts.log_v + ts.log_right[np.newaxis, :]
     norms = logsumexp(log_rows, axis=1)
@@ -128,9 +130,10 @@ def solve_stochastic(ts: TransferSystem, tol: float = 1e-10) -> BlockChain:
 
     lc = local_characteristics(ts)
     residual, triple = consistency_residual(lc, matrix)
-    if residual > tol:
+    if not residual <= CONSISTENCY_TOL:
         raise InversionError(
-            f"consistency residual {residual:.3e} exceeds {tol:.1e} at triple {triple}",
+            f"consistency residual {residual:.3e} exceeds {CONSISTENCY_TOL:.1e} "
+            f"at triple {triple}",
             residual,
             triple,
         )
@@ -139,20 +142,6 @@ def solve_stochastic(ts: TransferSystem, tol: float = 1e-10) -> BlockChain:
     return _make_chain(
         ts.hamiltonian.blocks, matrix, limit_mass, consistency_residual=residual
     )
-
-
-def stationary(matrix: np.ndarray, floor: float = SUPPORT_FLOOR):
-    """Stationary distribution of a row-stochastic matrix.
-
-    Irreducible input returns the unique probability vector (computed by
-    the GTH elimination, which is subtraction-free and keeps tiny entries
-    relatively accurate). Reducible input returns a ClassDecomposition with
-    one stationary vector per recurrent class; the caller chooses.
-    """
-    decomp = class_decomposition(matrix, floor)
-    if len(decomp.classes) == 1 and decomp.transients.size == 0:
-        return decomp.pis[0]
-    return decomp
 
 
 def class_decomposition(matrix: np.ndarray, floor: float = SUPPORT_FLOOR) -> ClassDecomposition:
@@ -190,11 +179,6 @@ def class_decomposition(matrix: np.ndarray, floor: float = SUPPORT_FLOOR) -> Cla
     )
     transients = np.setdiff1d(np.arange(size), recurrent)
     return ClassDecomposition(classes=tuple(classes), pis=tuple(pis), transients=transients)
-
-
-def spin_window_chain(hamiltonian: Hamiltonian, beta: float) -> BlockChain:
-    """Chain over sliding n-spin windows whose n-step law matches the blocks."""
-    return window_chain(solve_stochastic(build_transfer(hamiltonian, beta)))
 
 
 def window_chain(chain: BlockChain) -> BlockChain:

@@ -9,6 +9,7 @@ sub-chain into the whole-chain probability formula, which silently assumes
 the sub-chain is an isolated system.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ from .transfer import TransferSystem, _perron_eigensystem
 
 ENUMERATION_GUARD = 10**7
 RNG_KIND = "pcg64"
+# Uniforms the sampler converts to Python floats at a time; bounds the
+# memory its step loop adds to the sampled arrays.
+_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -308,14 +312,19 @@ def sample_sequence(
 
     rng = np.random.default_rng(seed)
     uniforms = rng.random(n_blocks)
-    cum_rows = np.cumsum(matrix, axis=1)
+    # bisect_right on plain lists is searchsorted(side="right") without the
+    # per-call array overhead of the step loop
+    cum_rows = np.cumsum(matrix, axis=1).tolist()
     high = matrix.shape[0] - 1
     state = min(int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right")), high)
     states = np.empty(n_blocks, dtype=np.int64)
     states[0] = state
-    for t in range(1, n_blocks):
-        state = min(int(np.searchsorted(cum_rows[state], uniforms[t], side="right")), high)
-        states[t] = state
+    for start in range(1, n_blocks, _SAMPLE_CHUNK):
+        chunk = []
+        for u in uniforms[start : start + _SAMPLE_CHUNK].tolist():
+            state = min(bisect_right(cum_rows[state], u), high)
+            chunk.append(state)
+        states[start : start + len(chunk)] = chunk
     blocks = members[states]
     return chain.space.digit_table[blocks].ravel().astype(np.int64)
 

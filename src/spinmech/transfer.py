@@ -98,11 +98,6 @@ def build_transfer(hamiltonian: Hamiltonian, beta: float) -> TransferSystem:
     )
 
 
-def perron(ts: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue (as a log) and the left/right Perron vectors."""
-    return ts.log_lambda0, ts.left, ts.right
-
-
 def partition_function(ts: TransferSystem, n_blocks: int, boundary: str = "open") -> float:
     """Exact log partition function for a chain of ``n_blocks`` blocks."""
     if n_blocks < 1:

@@ -12,26 +12,24 @@ import pytest
 from spinmech.analysis import analyze, evaluate_sweep_point, run_sweep, sweep_points
 from spinmech.errors import BoundaryTieError, QuadraticSolveError
 from spinmech.machine import block_machines, spin_machines
-from spinmech.markov import local_characteristics, solve_stochastic
+from spinmech.markov import solve_stochastic
 from spinmech.models import (
     NNNParams,
     NNParams,
     PBRWParams,
     nn_ising,
-    nn_reference_values,
     nnn_ground_state_phase,
     nnn_ising,
     pbrw_ising,
 )
-from spinmech.oracle import (
-    conditional_from_enumeration,
-    empirical_entropy_rate,
-    enumerate_gibbs,
-    naive_isolated_conditional,
-    quadratic_system_solve,
-    sample_sequence,
-)
 from spinmech.transfer import GROUND_STATE_BETA, build_transfer
+from spinmech.validation import (
+    entropy_error,
+    enumeration_gaps,
+    isolated_subchain_gap,
+    literal_solver_gap,
+    nn_closed_form_gaps,
+)
 
 FIG1_BETA = (1e-4, 1e2)
 FIG1_J = (-1.5, 1.5)
@@ -65,18 +63,7 @@ def _draw_instance(rng, kind: str):
 
 def test_criterion_1_nn_closed_forms():
     start = time.perf_counter()
-    worst_lc = 0.0
-    worst_tr = 0.0
-    for beta in (0.1, 1.0, 10.0):
-        for j in (-1.5, 0.0, 1.5):
-            for b in (-3.0, 0.0, 3.0):
-                params = NNParams(J=j, B=b, beta=beta)
-                ts = build_transfer(nn_ising(params), beta)
-                lc = local_characteristics(ts)
-                chain = solve_stochastic(ts)
-                ref = nn_reference_values(params)
-                worst_lc = max(worst_lc, float(np.max(np.abs(lc.interior - ref.conditionals))))
-                worst_tr = max(worst_tr, abs(chain.matrix[1, 1] - ref.p_up_up))
+    worst_lc, worst_tr = nn_closed_form_gaps()
     elapsed = time.perf_counter() - start
     _report(
         "1 (NN closed forms)",
@@ -101,9 +88,8 @@ def test_criterion_2_inversion_certification():
         ts = build_transfer(model, beta)
         chain = solve_stochastic(ts)  # certifies residual <= 1e-10 or raises
         worst_residual = max(worst_residual, chain.consistency_residual)
-        lc = local_characteristics(ts)
         try:
-            recovered = quadratic_system_solve(lc)
+            gap = literal_solver_gap(ts, chain)
         except QuadraticSolveError as err:
             if "ambiguity" in str(err):
                 # conditionals provably cannot pin the matrix in double
@@ -112,7 +98,7 @@ def test_criterion_2_inversion_certification():
                 excluded += 1
                 continue
             raise
-        worst_agreement = max(worst_agreement, float(np.max(np.abs(recovered - chain.matrix))))
+        worst_agreement = max(worst_agreement, gap)
         kept += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -138,17 +124,10 @@ def test_criterion_3_enumeration_oracle():
     naive_gap = 0.0
     for model, beta in instances:
         ts = build_transfer(model, beta)
-        lc = local_characteristics(ts)
-        ens = enumerate_gibbs(model, beta, 6)
-        for position in range(1, 5):
-            tables = conditional_from_enumeration(ens, position)
-            worst_triple = max(worst_triple, float(np.max(np.abs(tables.triple - lc.interior))))
-        head = conditional_from_enumeration(ens, 0)
-        worst_first = max(worst_first, float(np.max(np.abs(head.first - lc.first_block))))
-        pair = enumerate_gibbs(model, beta, 2)
-        true_step = conditional_from_enumeration(pair, 0).step
-        naive = naive_isolated_conditional(ts)
-        naive_gap = max(naive_gap, float(np.max(np.abs(naive - true_step))))
+        triple, first = enumeration_gaps(ts, 6, (1, 2, 3, 4))
+        worst_triple = max(worst_triple, triple)
+        worst_first = max(worst_first, first)
+        naive_gap = max(naive_gap, isolated_subchain_gap(ts))
     elapsed = time.perf_counter() - start
     _report(
         "3 (enumeration oracle)",
@@ -310,9 +289,7 @@ def test_criterion_7_monte_carlo_consistency():
             # rare-event regime: no usable error bars from a finite sample
             continue
         n_spins = 10**6
-        seq = sample_sequence(chain, n_spins // n, seed=int(rng.integers(2**32)))
-        estimate = empirical_entropy_rate(seq, n)
-        delta = abs(estimate.value - analytic)
+        delta, estimate = entropy_error(chain, analytic, n_spins // n, int(rng.integers(2**32)))
         worst_abs = max(worst_abs, delta)
         worst_sigma = max(worst_sigma, delta / max(estimate.stderr, 1e-12) / 3.0)
         assert delta <= 0.01, (delta, analytic)

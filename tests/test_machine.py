@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from spinmech.errors import PartitionAmbiguityError, ReducibleChainError
-from spinmech.machine import (
-    block_machines,
-    build_partition,
-    entropy_density,
-    excess_entropy,
-    spin_machine,
-    spin_machines,
-    statistical_complexity,
-    transition_matrices,
-)
+from spinmech.errors import PartitionAmbiguityError
+from spinmech.machine import block_machines, spin_machines
 from spinmech.markov import solve_stochastic
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
 from spinmech.transfer import GROUND_STATE_BETA, build_transfer
@@ -24,40 +15,44 @@ def nn_chain(j=E2BJ3, b=0.0, beta=1.0):
     return solve_stochastic(build_transfer(nn_ising(NNParams(J=j, B=b, beta=beta)), beta))
 
 
+def block_machine(chain):
+    (machine,) = block_machines(chain).machines
+    return machine
+
+
 def test_two_state_partition():
-    part = build_partition(nn_chain())
+    machine = block_machine(nn_chain())
+    part = machine.partition
     assert part.n_states == 2
     assert np.allclose(part.probs, [0.5, 0.5], atol=1e-12)
-    assert statistical_complexity(part) == pytest.approx(1.0, abs=1e-12)
+    assert machine.c_mu == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_rows_merge_at_infinite_temperature():
     chain = solve_stochastic(
         build_transfer(nnn_ising(NNNParams(J1=1.0, J2=-0.5, B=0.4, beta=0.0)), 0.0)
     )
-    part = build_partition(chain)
-    assert part.n_states == 1
-    assert part.probs[0] == pytest.approx(1.0)
-    assert statistical_complexity(part) == pytest.approx(0.0)
+    machine = block_machine(chain)
+    assert machine.partition.n_states == 1
+    assert machine.partition.probs[0] == pytest.approx(1.0)
+    assert machine.c_mu == pytest.approx(0.0)
 
 
 def test_three_state_uniform_complexity():
-    probs = np.full(3, 1.0 / 3.0)
-    from spinmech.machine import CausalPartition
-
-    part = CausalPartition(
-        members=np.arange(3),
-        assignments=np.arange(3),
-        states=((0,), (1,), (2,)),
-        probs=probs,
+    # the P3 ground state cycles through three equiprobable causal states
+    beta = GROUND_STATE_BETA
+    chain = solve_stochastic(
+        build_transfer(nnn_ising(NNNParams(J1=-1.0, J2=-1.0, B=2.0, beta=beta)), beta)
     )
-    assert statistical_complexity(part) == pytest.approx(np.log2(3.0), abs=1e-12)
+    for machine in block_machines(chain).machines:
+        assert np.allclose(machine.partition.probs, np.full(3, 1.0 / 3.0), atol=1e-12)
+        assert machine.c_mu == pytest.approx(np.log2(3.0), abs=1e-12)
 
 
 def test_entropy_density_values():
-    assert entropy_density(nn_chain()) == pytest.approx(H_THREE_QUARTERS, abs=1e-12)
+    assert block_machine(nn_chain()).h_mu == pytest.approx(H_THREE_QUARTERS, abs=1e-12)
     chain0 = solve_stochastic(build_transfer(nn_ising(NNParams(J=0.0, B=0.0, beta=1.0)), 1.0))
-    assert entropy_density(chain0) == pytest.approx(1.0, abs=1e-12)
+    assert block_machine(chain0).h_mu == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_density_zero_for_deterministic_cycle():
@@ -65,33 +60,29 @@ def test_entropy_density_zero_for_deterministic_cycle():
     chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=-1.0, B=0.0, beta=beta)), beta))
     # antiferromagnetic ground state: a two-block cycle, no uncertainty
     assert chain.irreducible
-    assert entropy_density(chain) == pytest.approx(0.0, abs=1e-12)
+    assert block_machine(chain).h_mu == pytest.approx(0.0, abs=1e-12)
 
 
 def test_excess_entropy_forms():
-    chain = nn_chain()
-    part = build_partition(chain)
-    e_mu, e_paper = excess_entropy(chain, part)
-    assert e_mu == pytest.approx(1.0 - H_THREE_QUARTERS, abs=1e-12)
-    assert e_paper == pytest.approx(e_mu, abs=1e-12)
+    machine = block_machine(nn_chain())
+    assert machine.e_mu == pytest.approx(1.0 - H_THREE_QUARTERS, abs=1e-12)
+    assert machine.e_paper == pytest.approx(machine.e_mu, abs=1e-12)
 
 
 def test_excess_entropy_divergence_when_states_merge():
     chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=0.0, B=0.0, beta=1.0)), 1.0))
-    part = build_partition(chain)
-    e_mu, e_paper = excess_entropy(chain, part)
-    assert e_mu == pytest.approx(0.0, abs=1e-12)
+    machine = block_machine(chain)
+    assert machine.e_mu == pytest.approx(0.0, abs=1e-12)
     # complexity-minus-rate goes negative once blocks merge: flagged, not forced
-    assert e_paper == pytest.approx(-1.0, abs=1e-12)
-    mset = block_machines(chain)
-    assert not mset.machines[0].excess_forms_agree
+    assert machine.e_paper == pytest.approx(-1.0, abs=1e-12)
+    assert not machine.excess_forms_agree
 
 
 def test_transition_matrices_unifilar():
-    chain = nn_chain()
-    part = build_partition(chain)
-    labeled, connectivity, symbols = transition_matrices(chain, part)
-    assert symbols == (0, 1)
+    machine = block_machine(nn_chain())
+    labeled = machine.labeled_matrices
+    connectivity = labeled.sum(axis=0)
+    assert machine.symbols == (0, 1)
     for k in range(labeled.shape[0]):
         for r in range(labeled.shape[1]):
             assert np.count_nonzero(labeled[k, r]) <= 1
@@ -103,18 +94,11 @@ def test_transition_matrices_single_state():
     chain = solve_stochastic(
         build_transfer(nnn_ising(NNNParams(J1=0.3, J2=-0.2, B=0.1, beta=0.0)), 0.0)
     )
-    part = build_partition(chain)
-    labeled, connectivity, symbols = transition_matrices(chain, part)
+    labeled = block_machine(chain).labeled_matrices
+    connectivity = labeled.sum(axis=0)
     assert connectivity.shape == (1, 1)
     assert connectivity[0, 0] == pytest.approx(1.0)
     assert np.allclose(labeled[:, 0, 0], 0.25)
-
-
-def test_build_partition_rejects_reducible():
-    beta = GROUND_STATE_BETA
-    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=1.0, B=0.0, beta=beta)), beta))
-    with pytest.raises(ReducibleChainError):
-        build_partition(chain)
 
 
 def test_partition_ambiguity_error():
@@ -126,9 +110,8 @@ def test_partition_ambiguity_error():
 
 
 def test_spin_machine_single_spin_blocks_match_block_machine():
-    model = nn_ising(NNParams(J=E2BJ3, B=0.0, beta=1.0))
-    sset = spin_machine(model, 1.0)
-    chain = solve_stochastic(build_transfer(model, 1.0))
+    chain = nn_chain()
+    sset = spin_machines(chain)
     bset = block_machines(chain)
     assert sset.c_mu == pytest.approx(bset.c_mu, abs=1e-12)
     assert sset.h_mu == pytest.approx(bset.h_mu, abs=1e-12)
@@ -155,7 +138,7 @@ def test_spin_entropy_aggregation_identity():
 
 
 def test_fair_coin_spin_machine():
-    sset = spin_machine(nn_ising(NNParams(J=0.0, B=0.0, beta=1.0)), 1.0)
+    sset = spin_machines(nn_chain(j=0.0))
     assert sset.h_mu == pytest.approx(1.0, abs=1e-12)
     assert sset.c_mu == pytest.approx(0.0, abs=1e-12)
     # mutual-information form vanishes; the complexity-minus-rate form

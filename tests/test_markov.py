@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spinmech.errors import InversionError
 from spinmech.markov import (
+    CONSISTENCY_TOL,
     class_decomposition,
     consistency_residual,
     local_characteristics,
     solve_stochastic,
-    spin_window_chain,
-    stationary,
     window_chain,
 )
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
@@ -79,17 +80,24 @@ def test_consistency_closure_matches_local_characteristics():
 
 
 def test_inversion_error_reports_triple():
-    ts = nn_ts()
+    # a damaged right Perron vector breaks the consistency relation
+    ts = dataclasses.replace(nn_ts(), log_right=np.array([0.0, 1.0]))
     with pytest.raises(InversionError) as err:
-        solve_stochastic(ts, tol=1e-18)
-    assert err.value.residual > 1e-18
+        solve_stochastic(ts)
+    assert err.value.residual > CONSISTENCY_TOL
     assert len(err.value.triple) == 3
 
 
+def test_inversion_error_on_nan_residual():
+    ts = dataclasses.replace(nn_ts(), log_right=np.array([0.0, np.nan]))
+    with pytest.raises(InversionError):
+        solve_stochastic(ts)
+
+
 def test_stationary_simple_and_reducible():
-    pi = stationary(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    (pi,) = class_decomposition(np.array([[0.75, 0.25], [0.25, 0.75]])).pis
     assert np.allclose(pi, [0.5, 0.5], atol=1e-14)
-    decomp = stationary(np.eye(2))
+    decomp = class_decomposition(np.eye(2))
     assert len(decomp.classes) == 2
     assert [list(c) for c in decomp.classes] == [[0], [1]]
     assert all(np.allclose(p, [1.0]) for p in decomp.pis)
@@ -99,7 +107,7 @@ def test_stationary_matches_row_weighting():
     rng = np.random.default_rng(2)
     raw = rng.random((5, 5)) + 0.05
     matrix = raw / raw.sum(axis=1, keepdims=True)
-    pi = stationary(matrix)
+    (pi,) = class_decomposition(matrix).pis
     assert np.allclose(pi @ matrix, pi, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +157,7 @@ def test_window_chain_aggregates_to_block_chain():
 
 def test_window_chain_moves_one_spin_at_a_time():
     model = nnn_ising(NNNParams(J1=0.8, J2=-0.3, B=0.2, beta=1.0))
-    windows = spin_window_chain(model, 1.0)
+    windows = window_chain(solve_stochastic(build_transfer(model, 1.0)))
     space = windows.space
     for w in range(space.size):
         allowed = {space.shift_append(w, s) for s in range(2)}

@@ -7,7 +7,8 @@ from spinmech.errors import (
     UndersampledError,
 )
 from spinmech.machine import spin_machines
-from spinmech.markov import local_characteristics, solve_stochastic
+from spinmech.markov import local_characteristics, restrict_to_class, solve_stochastic
+from spinmech import oracle
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
 from spinmech.oracle import (
     conditional_from_enumeration,
@@ -136,6 +137,46 @@ def test_sampling_deterministic():
     assert np.array_equal(first, second)
     third = sample_sequence(chain, 500, seed=78)
     assert not np.array_equal(first, third)
+
+
+def _reference_sample(chain, n_blocks, seed, class_index=None):
+    # one np.searchsorted per step: the sampler's original loop, kept as
+    # the reference its list-based step must reproduce exactly
+    if class_index is None:
+        members, matrix, pi = np.arange(chain.size), chain.matrix, chain.pi
+    else:
+        members, matrix, pi = restrict_to_class(chain, class_index)
+    uniforms = np.random.default_rng(seed).random(n_blocks)
+    cum_rows = np.cumsum(matrix, axis=1)
+    high = matrix.shape[0] - 1
+    states = np.empty(n_blocks, dtype=np.int64)
+    states[0] = min(int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right")), high)
+    for t in range(1, n_blocks):
+        row = cum_rows[states[t - 1]]
+        states[t] = min(int(np.searchsorted(row, uniforms[t], side="right")), high)
+    return chain.space.digit_table[members[states]].ravel().astype(np.int64)
+
+
+def test_sampling_matches_reference_loop(monkeypatch):
+    # small chunks so that the sequences cross many chunk boundaries
+    monkeypatch.setattr(oracle, "_SAMPLE_CHUNK", 1000)
+    nn = nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0))
+    nnn = nnn_ising(NNNParams(J1=0.8, J2=-0.5, B=0.7, beta=0.9))
+    chains = [
+        (solve_stochastic(build_transfer(nn, 1.0)), None),
+        (solve_stochastic(build_transfer(nnn, 0.9)), None),
+    ]
+    # a period-four ground state: two recurrent classes, sampled one at a time
+    beta = GROUND_STATE_BETA
+    frozen = solve_stochastic(
+        build_transfer(nnn_ising(NNNParams(J1=1.0, J2=-1.0, B=0.0, beta=beta)), beta)
+    )
+    chains += [(frozen, index) for index in range(len(frozen.classes))]
+    for chain, class_index in chains:
+        for n_blocks, seed in ((1, 3), (20_001, 3), (20_001, 2**32 - 1)):
+            got = sample_sequence(chain, n_blocks, seed=seed, class_index=class_index)
+            want = _reference_sample(chain, n_blocks, seed, class_index)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_sampling_reducible_requires_class():

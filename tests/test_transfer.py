@@ -8,7 +8,6 @@ from spinmech.transfer import (
     asymptotic_log_partition,
     build_transfer,
     partition_function,
-    perron,
     subdominant_ratio,
 )
 
@@ -34,7 +33,7 @@ def test_dominant_eigenvalue_nn():
 def test_perron_pair_properties():
     for beta, j, b in [(1.0, 1.0, 0.0), (0.7, -1.2, 0.9), (2.5, 0.3, -1.1)]:
         ts = build_transfer(nn_ising(NNParams(J=j, B=b, beta=beta)), beta)
-        log_lam, left, right = perron(ts)
+        left, right = ts.left, ts.right
         assert ts.perron_residual <= 1e-12
         assert np.all(left > 0) and np.all(right > 0)
         assert np.dot(left, right) == pytest.approx(1.0, abs=1e-12)
