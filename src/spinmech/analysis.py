@@ -161,13 +161,30 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)`` for one config field, or a ConfigError naming the field."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
+    # int() truncates: a range or count of 2.5 is malformed, not 2
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return number
+
+
+def _float_list(value) -> list:
+    """A JSON list of numbers, nested to any depth; a scalar raises TypeError."""
+    return list(np.asarray(value, dtype=float))
+
+
 def resolve_beta(raw) -> float:
     """Numeric beta, with 'inf' mapping to the ground-state stand-in."""
     if isinstance(raw, str):
         if raw.lower() in ("inf", "infinity"):
             return GROUND_STATE_BETA
         raise ConfigError(f"beta must be a number or 'inf', got {raw!r}")
-    beta = float(raw)
+    beta = _number(raw, "beta")
     if math.isinf(beta):
         return GROUND_STATE_BETA
     return beta
@@ -177,29 +194,29 @@ def hamiltonian_from_config(model: dict, parameters: dict) -> tuple[Hamiltonian,
     """Build a model and its beta from the config sections."""
     if not isinstance(model, dict) or "preset" not in model:
         raise ConfigError("model section must carry a 'preset' field")
+    if not isinstance(parameters, dict):
+        raise ConfigError("parameters section must be a JSON object")
     preset = model["preset"]
     try:
         if preset == "nn":
             beta = resolve_beta(parameters["beta"])
-            return (
-                nn_ising(NNParams(J=float(parameters["J"]), B=float(parameters["B"]), beta=beta)),
-                beta,
-            )
+            j, b = _number(parameters["J"], "J"), _number(parameters["B"], "B")
+            return nn_ising(NNParams(J=j, B=b, beta=beta)), beta
         if preset == "nnn":
             beta = resolve_beta(parameters["beta"])
             return (
                 nnn_ising(
                     NNNParams(
-                        J1=float(parameters["J1"]),
-                        J2=float(parameters["J2"]),
-                        B=float(parameters["B"]),
+                        J1=_number(parameters["J1"], "J1"),
+                        J2=_number(parameters["J2"], "J2"),
+                        B=_number(parameters["B"], "B"),
                         beta=beta,
                     )
                 ),
                 beta,
             )
         if preset == "pbrw":
-            params = PBRWParams(p=float(parameters["p"]), r=float(parameters["r"]))
+            params = PBRWParams(p=_number(parameters["p"], "p"), r=_number(parameters["r"], "r"))
             return pbrw_ising(params), 1.0
         if preset == "custom":
             return _custom_hamiltonian(model, parameters)
@@ -209,18 +226,20 @@ def hamiltonian_from_config(model: dict, parameters: dict) -> tuple[Hamiltonian,
 
 
 def _custom_hamiltonian(model: dict, parameters: dict) -> tuple[Hamiltonian, float]:
-    alphabet = SpinAlphabet(tuple(model.get("alphabet", (-1.0, 1.0))))
+    values = _number(model.get("alphabet", (-1.0, 1.0)), "model.alphabet", _float_list)
+    alphabet = SpinAlphabet(tuple(values))
     if "range" not in model:
         raise ConfigError("custom model needs a 'range' field")
-    space = BlockSpace(alphabet, int(model["range"]))
+    space = BlockSpace(alphabet, _number(model["range"], "model.range", int))
     beta = resolve_beta(parameters["beta"])
-    field = float(parameters.get("field", 0.0))
+    field = _number(parameters.get("field", 0.0), "field")
     couplings = parameters.get("couplings")
     if couplings is None:
         raise ConfigError("custom model needs parameters.couplings")
     if isinstance(couplings, dict) and "product" in couplings:
-        return Hamiltonian.pair_product(space, field, couplings["product"]), beta
-    table = np.asarray(couplings, dtype=float)
+        j_by_distance = _number(couplings["product"], "couplings.product", _float_list)
+        return Hamiltonian.pair_product(space, field, j_by_distance), beta
+    table = _number(couplings, "couplings", _float_list)
     return Hamiltonian(space, field, table), beta
 
 
@@ -243,16 +262,18 @@ def sweep_points(sweep: dict) -> tuple[list[str], np.ndarray]:
     params = sweep.get("parameters")
     if not isinstance(params, dict) or not params:
         raise ConfigError("sweep.parameters must name at least one parameter")
+    if not all(isinstance(s, dict) and {"low", "high"} <= s.keys() for s in params.values()):
+        raise ConfigError("every sweep parameter needs low and high")
     names = list(params.keys())
 
     if mode == "grid":
         axes = []
         for name in names:
             spec = params[name]
-            count = int(spec.get("count", 0))
+            count = _number(spec.get("count", 0), f"{name}.count", int)
             if count < 1:
                 raise ConfigError(f"sweep parameter {name!r} needs a positive count")
-            low, high = float(spec["low"]), float(spec["high"])
+            low, high = _number(spec["low"], f"{name}.low"), _number(spec["high"], f"{name}.high")
             if spec.get("scale", "linear") == "log":
                 if low <= 0 or high <= 0:
                     raise ConfigError(f"log scale needs positive bounds for {name!r}")
@@ -264,16 +285,16 @@ def sweep_points(sweep: dict) -> tuple[list[str], np.ndarray]:
         return names, values
 
     if mode == "random":
-        count = int(sweep.get("count", 0))
+        count = _number(sweep.get("count", 0), "sweep.count", int)
         if count < 1:
             raise ConfigError("random sweep needs a positive count")
         if "seed" not in sweep:
             raise ConfigError("random sweep needs an explicit seed")
-        rng = np.random.default_rng(int(sweep["seed"]))
+        rng = np.random.default_rng(_number(sweep["seed"], "sweep.seed", int))
         columns = []
         for name in names:
             spec = params[name]
-            low, high = float(spec["low"]), float(spec["high"])
+            low, high = _number(spec["low"], f"{name}.low"), _number(spec["high"], f"{name}.high")
             draws = rng.random(count)
             if spec.get("scale", "linear") == "log":
                 if low <= 0 or high <= 0:
@@ -348,6 +369,8 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     if model is None:
         raise ConfigError("config needs a model section")
     base_parameters = config.get("parameters", {})
+    if not isinstance(base_parameters, dict):
+        raise ConfigError("parameters section must be a JSON object")
     names, values = sweep_points(config.get("sweep"))
 
     tasks = [(model, base_parameters, names, row.tolist()) for row in values]

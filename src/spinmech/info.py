@@ -34,11 +34,6 @@ def log_matvec(log_mat: np.ndarray, log_vec: np.ndarray) -> np.ndarray:
     return logsumexp(log_mat + log_vec[np.newaxis, :], axis=1)
 
 
-def log_vecmat(log_vec: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
-    """Log-domain vector @ matrix."""
-    return logsumexp(log_mat + log_vec[:, np.newaxis], axis=0)
-
-
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """Log-domain matrix product."""
     return logsumexp(log_a[:, :, np.newaxis] + log_b[np.newaxis, :, :], axis=1)

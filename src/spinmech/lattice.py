@@ -73,6 +73,11 @@ class BlockSpace:
         return np.stack(cols, axis=1)
 
     @cached_property
+    def reversal(self) -> np.ndarray:
+        """Index array mapping each block to the block with its symbols reversed."""
+        return self.digit_table @ self.alphabet.size ** np.arange(self.n)
+
+    @cached_property
     def value_table(self) -> np.ndarray:
         """(size, n) array of spin values, aligned with digit_table."""
         return np.asarray(self.alphabet.values, dtype=float)[self.digit_table]

@@ -201,7 +201,7 @@ def quadratic_system_solve(
     # exp(particular) restores stochasticity without touching the triples;
     # the wide clustering absorbs the near-degenerate phase splitting that
     # the linear stage's noise induces
-    _, _, log_gauge, _ = _perron_eigensystem(particular, cluster_tol=1e-9)
+    _, log_gauge, _ = _perron_eigensystem(particular, cluster_tol=1e-9)
     log_rows = particular + log_gauge[np.newaxis, :]
     theta = log_rows - logsumexp(log_rows, axis=1)[:, np.newaxis]
 

@@ -40,10 +40,11 @@ _BALANCE_SPREAD = 36.0
 class TransferSystem:
     """Log-domain transfer data plus the dominant (Perron) eigensystem.
 
-    ``left`` and ``right`` are the Perron eigenvectors with ``right`` summing
-    to one and ``left . right = 1``; the log copies stay accurate when linear
-    entries underflow. ``log_m`` is the log of the open-boundary
-    normalization scalar <U|r><l|U>.
+    ``log_right`` and ``log_left`` are the log Perron eigenvectors, with
+    sum(r) = 1 and <l|r> = 1; they exist in the log domain only, since
+    linear entries overflow deep in the ordered phases. ``l`` is the block
+    reversal of ``r``, so the right ``perron_residual`` covers both.
+    ``log_m`` is the log of the open-boundary normalization scalar <U|r><l|U>.
     """
 
     hamiltonian: Hamiltonian
@@ -53,8 +54,6 @@ class TransferSystem:
     log_lambda0: float
     log_left: np.ndarray
     log_right: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     log_m: float
     perron_residual: float
 
@@ -74,13 +73,15 @@ def build_transfer(hamiltonian: Hamiltonian, beta: float) -> TransferSystem:
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise NumericDomainError("non-finite log-weights; check energies and beta")
 
-    log_lambda0, log_left, log_right, residual = _perron_eigensystem(log_v)
+    log_lambda0, log_right, residual = _perron_eigensystem(log_v)
 
-    right = np.exp(log_right)
+    # Pair couplings are symmetric in the spins, so a two-block window read
+    # backwards keeps its energy: V^T = R V R with R the block reversal.
+    # Hence V^T (R r) = lambda0 (R r), and the left vector needs no solve.
+    log_left = log_right[hamiltonian.blocks.reversal]
     # scale left so that <l|r> = 1, evaluated in the log domain
     log_inner = logsumexp(log_left + log_right)
     log_left = log_left - log_inner
-    left = np.exp(log_left)
 
     log_m = logsumexp(log_u + log_right) + logsumexp(log_left + log_u)
     return TransferSystem(
@@ -91,8 +92,6 @@ def build_transfer(hamiltonian: Hamiltonian, beta: float) -> TransferSystem:
         log_lambda0=float(log_lambda0),
         log_left=log_left,
         log_right=log_right,
-        left=left,
-        right=right,
         log_m=float(log_m),
         perron_residual=float(residual),
     )
@@ -139,68 +138,49 @@ def subdominant_ratio(ts: TransferSystem) -> float:
 
 def _perron_eigensystem(
     log_v: np.ndarray, cluster_tol: float = _CLUSTER_TOL
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Dominant eigensystem of exp(log_v), returned in the log domain."""
+) -> tuple[float, np.ndarray, float]:
+    """Dominant eigenvalue and right eigenvector of exp(log_v), in the log domain."""
     size = log_v.shape[0]
     if float(np.ptp(log_v)) <= _BALANCE_SPREAD:
         chi = float(log_v.max())
-        u_right = np.zeros(size)
-        u_left = np.zeros(size)
+        potentials = np.zeros(size)
     else:
         # deep grading: similarity-balance with max-plus potentials so the
         # dominant cycle structure survives exponentiation
         chi = _max_mean_cycle(log_v)
-        u_right = _path_potentials(log_v - chi)
-        u_left = _path_potentials(log_v.T - chi)
+        potentials = _path_potentials(log_v - chi)
 
     # exactly tied phases land a rounding-width apart: log arithmetic on
     # weights of magnitude m leaves eigenvalue splittings of order m*eps
     eps = np.finfo(float).eps
     cluster_tol = max(cluster_tol, 16.0 * eps * max(1.0, float(np.ptp(log_v))))
 
-    balanced_r = log_v - chi + u_right[np.newaxis, :] - u_right[:, np.newaxis]
-    balanced_l = log_v.T - chi + u_left[np.newaxis, :] - u_left[:, np.newaxis]
+    balanced = log_v - chi + potentials[np.newaxis, :] - potentials[:, np.newaxis]
     if size == 2:
-        return _perron_2x2(log_v, chi, u_right, u_left, balanced_r, balanced_l, cluster_tol)
-    w_r = np.exp(balanced_r)
-    w_l = np.exp(balanced_l)
+        return _perron_2x2(chi, potentials, balanced, cluster_tol)
+    w = np.exp(balanced)
     if size <= _DENSE_LIMIT:
-        lam, right_b = _dense_dominant(w_r, cluster_tol)
-        _, left_b = _dense_dominant(w_l, cluster_tol)
+        lam, vec_b = _dense_dominant(w, cluster_tol)
     else:
-        lam, right_b = _power_dominant(w_r)
-        _, left_b = _power_dominant(w_l)
+        lam, vec_b = _power_dominant(w)
 
     log_lambda0 = chi + float(np.log(lam))
-    log_right = u_right + _log_vector(right_b)
-    log_left = u_left + _log_vector(left_b)
-    if _needs_polish(log_right) or _needs_polish(log_left):
+    log_right = potentials + _log_vector(vec_b)
+    if _needs_polish(log_right):
         log_right = _log_polish(log_v, log_right)
-        log_left = _log_polish(log_v.T, log_left)
         # Rayleigh-type update keeps log(lambda0) accurate when entries are
         # graded far beyond linear precision.
         log_lambda0 = float(logsumexp(log_matvec(log_v, log_right)) - logsumexp(log_right))
         lam = math.exp(log_lambda0 - chi)
-        right_b = np.exp(log_right - u_right - np.max(log_right - u_right))
-        left_b = np.exp(log_left - u_left - np.max(log_left - u_left))
+        vec_b = np.exp(log_right - potentials - np.max(log_right - potentials))
 
-    residual = max(
-        _relative_residual(w_r, lam, right_b), _relative_residual(w_l, lam, left_b)
-    )
-    log_right = log_right - logsumexp(log_right)
-    log_left = log_left - logsumexp(log_left)
-    return log_lambda0, log_left, log_right, residual
+    residual = _relative_residual(w, lam, vec_b)
+    return log_lambda0, log_right - logsumexp(log_right), residual
 
 
 def _perron_2x2(
-    log_v: np.ndarray,
-    chi: float,
-    u_right: np.ndarray,
-    u_left: np.ndarray,
-    balanced_r: np.ndarray,
-    balanced_l: np.ndarray,
-    cluster_tol: float,
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+    chi: float, potentials: np.ndarray, balanced: np.ndarray, cluster_tol: float
+) -> tuple[float, np.ndarray, float]:
     """Closed-form dominant pair for two blocks, stable in the log domain.
 
     In the balanced frame the quadratic formula never cancels: the
@@ -208,30 +188,21 @@ def _perron_2x2(
     discriminant signals two numerically tied phases, split evenly like
     the general cluster projection would.
     """
-
-    def solve(bal: np.ndarray, potentials: np.ndarray) -> tuple[float, np.ndarray, float]:
-        w = np.exp(bal)
-        a, b, c, d = w[0, 0], w[0, 1], w[1, 0], w[1, 1]
-        half_gap = 0.5 * (a - d)
-        disc = math.sqrt(half_gap * half_gap + b * c)
-        lam = 0.5 * (a + d) + disc
-        if disc <= cluster_tol * lam:
-            log_ratio = 0.5 * (bal[1, 0] - bal[0, 1])
-        elif a >= d:
-            log_ratio = bal[1, 0] - math.log(lam - d)
-        else:
-            log_ratio = math.log(lam - a) - bal[0, 1]
-        log_vec = potentials + np.array([0.0, log_ratio])
-        vec_b = np.exp(np.array([0.0, log_ratio]) - max(0.0, log_ratio))
-        residual = _relative_residual(w, lam, vec_b)
-        return lam, log_vec, residual
-
-    lam, log_right, res_r = solve(balanced_r, u_right)
-    _, log_left, res_l = solve(balanced_l, u_left)
-    log_lambda0 = chi + math.log(lam)
-    log_right = log_right - logsumexp(log_right)
-    log_left = log_left - logsumexp(log_left)
-    return log_lambda0, log_left, log_right, max(res_r, res_l)
+    w = np.exp(balanced)
+    a, b, c, d = w[0, 0], w[0, 1], w[1, 0], w[1, 1]
+    half_gap = 0.5 * (a - d)
+    disc = math.sqrt(half_gap * half_gap + b * c)
+    lam = 0.5 * (a + d) + disc
+    if disc <= cluster_tol * lam:
+        log_ratio = 0.5 * (balanced[1, 0] - balanced[0, 1])
+    elif a >= d:
+        log_ratio = balanced[1, 0] - math.log(lam - d)
+    else:
+        log_ratio = math.log(lam - a) - balanced[0, 1]
+    log_right = potentials + np.array([0.0, log_ratio])
+    vec_b = np.exp(np.array([0.0, log_ratio]) - max(0.0, log_ratio))
+    residual = _relative_residual(w, lam, vec_b)
+    return chi + math.log(lam), log_right - logsumexp(log_right), residual
 
 
 def _max_mean_cycle(log_v: np.ndarray) -> float:

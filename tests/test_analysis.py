@@ -68,8 +68,9 @@ def test_resolve_beta_handles_ground_state():
     assert resolve_beta(2.5) == 2.5
     assert resolve_beta("inf") == GROUND_STATE_BETA
     assert resolve_beta(float("inf")) == GROUND_STATE_BETA
-    with pytest.raises(ConfigError):
-        resolve_beta("cold")
+    for raw in ("cold", None, [1]):
+        with pytest.raises(ConfigError):
+            resolve_beta(raw)
 
 
 def test_hamiltonian_from_config_presets():
@@ -185,11 +186,32 @@ def test_sweep_points_validation():
         sweep_points({"mode": "grid", "parameters": {"J": {"low": 0, "high": 1}}})
     with pytest.raises(ConfigError):
         sweep_points({"parameters": {}})
+    # malformed values are config errors too
+    interval = {"low": 0, "high": 1}
+    for sweep in [
+        {"mode": "random", "count": "x", "seed": 1, "parameters": {"J": interval}},
+        {"mode": "random", "count": 2.5, "seed": 1, "parameters": {"J": interval}},
+        {"mode": "random", "count": 5, "seed": "s", "parameters": {"J": interval}},
+        {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": {"high": 1}}},
+        {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": {"low": "a", "high": 1}}},
+        {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": 0.5}},
+        {"mode": "grid", "parameters": {"J": {"low": 0, "high": 1, "count": "x"}}},
+        {"mode": "grid", "parameters": {"J": {"high": 1, "count": 3}}},
+    ]:
+        with pytest.raises(ConfigError):
+            sweep_points(sweep)
+    sweep = {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": interval}}
+    with pytest.raises(ConfigError):
+        run_sweep({"model": {"preset": "nn"}, "parameters": [1], "sweep": sweep}, jobs=1)
 
 
 def test_evaluate_sweep_point_records_errors():
     row = evaluate_sweep_point({"preset": "pbrw"}, {}, {"p": 1.0, "r": 0.5})
     assert row["status"] == "limit_parameter_error"
+    assert math.isnan(row["C_mu"])
+    # a malformed base parameter fails its rows, not the whole sweep
+    row = evaluate_sweep_point({"preset": "nn"}, {"B": "abc"}, {"beta": 1.0, "J": 0.5})
+    assert row["status"] == "config_error"
     assert math.isnan(row["C_mu"])
 
 

@@ -49,6 +49,34 @@ def test_analyze_config_errors_exit_one(tmp_path, capsys):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"model": {"preset": "nn"}, "parameters": {}}))
     assert main(["analyze", "-c", str(incomplete)]) == 1
+    # malformed values are config errors, not tracebacks
+    nn = tmp_path / "nn.json"
+    nn.write_text(json.dumps({"model": {"preset": "nn"}, "parameters": {"beta": 1.0, "J": 1.0}}))
+    custom = tmp_path / "custom.json"
+    custom.write_text(
+        json.dumps(
+            {
+                "model": {"preset": "custom", "range": 2},
+                "parameters": {"beta": 1.0, "couplings": {"product": [0.5, 0.1]}},
+            }
+        )
+    )
+    capsys.readouterr()
+    for path, override in [
+        (nn, "parameters.B=abc"),
+        (nn, "parameters.B=null"),
+        (nn, "parameters.B=[1]"),
+        (nn, "parameters.beta=null"),
+        (nn, "parameters=[1]"),
+        (custom, "model.range=x"),
+        (custom, "model.range=2.5"),
+        (custom, "model.alphabet=3"),
+        (custom, "parameters.field=abc"),
+        (custom, 'parameters.couplings.product=["a", 1]'),
+        (custom, "parameters.couplings=[[1, 2], [3]]"),
+    ]:
+        assert main(["analyze", "-c", str(path), "--set", override]) == 1, override
+        assert capsys.readouterr().err.startswith("config error:"), override
 
 
 def test_numerical_failure_exits_two(tmp_path):

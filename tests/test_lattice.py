@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,8 @@ def test_roundtrip_exhaustive(theta, n):
     assert space.size <= 4096
     for index in range(space.size):
         assert space.encode(space.decode(index)) == index
+        assert space.reversal[index] == space.encode(space.decode(index)[::-1])
+    assert np.array_equal(space.reversal[space.reversal], np.arange(space.size))
 
 
 @settings(max_examples=200, deadline=None)

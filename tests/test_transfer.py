@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinmech.hamiltonian import Hamiltonian
-from spinmech.lattice import BINARY, BlockSpace
+from spinmech.info import log_matvec
+from spinmech.lattice import BINARY, BlockSpace, SpinAlphabet
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
 from spinmech.transfer import (
     asymptotic_log_partition,
@@ -33,12 +34,46 @@ def test_dominant_eigenvalue_nn():
 def test_perron_pair_properties():
     for beta, j, b in [(1.0, 1.0, 0.0), (0.7, -1.2, 0.9), (2.5, 0.3, -1.1)]:
         ts = build_transfer(nn_ising(NNParams(J=j, B=b, beta=beta)), beta)
-        left, right = ts.left, ts.right
+        left, right = np.exp(ts.log_left), np.exp(ts.log_right)
         assert ts.perron_residual <= 1e-12
         assert np.all(left > 0) and np.all(right > 0)
         assert np.dot(left, right) == pytest.approx(1.0, abs=1e-12)
         if b == 0.0:
             assert right[0] == pytest.approx(right[1], abs=1e-14)
+
+
+def _ternary_range3_model() -> Hamiltonian:
+    # symmetric in the spins at every distance, but not a product of spin values
+    table = np.array(
+        [
+            [[0.9, -0.4, 0.3], [-0.4, 0.1, -0.7], [0.3, -0.7, 0.5]],
+            [[-0.2, 0.6, 0.05], [0.6, -0.3, 0.25], [0.05, 0.25, 0.8]],
+            [[0.15, -0.1, -0.35], [-0.1, 0.45, 0.2], [-0.35, 0.2, -0.6]],
+        ]
+    )
+    space = BlockSpace(SpinAlphabet((-1.0, 0.0, 1.0)), 3)
+    return Hamiltonian(space, 0.3, table)
+
+
+@pytest.mark.parametrize(
+    "model,beta",
+    [
+        (nnn_ising(NNNParams(J1=-0.7, J2=0.45, B=0.6, beta=2.0)), 2.0),
+        (nnn_ising(NNNParams(J1=-2.0, J2=-1.0, B=1.3, beta=1000.0)), 1000.0),
+        (_ternary_range3_model(), 1.7),
+    ],
+    ids=["nnn", "nnn-ground-state", "ternary-range3"],
+)
+def test_left_vector_is_block_reversal_of_right(model, beta):
+    ts = build_transfer(model, beta)
+    reversal = model.blocks.reversal
+    assert model.blocks.n >= 2
+    assert np.max(np.abs(ts.log_v.T - ts.log_v[reversal][:, reversal])) <= 1e-12
+    # left eigen-equation V^T l = lambda0 l, checked in the log domain
+    gap = log_matvec(ts.log_v.T, ts.log_left) - ts.log_left - ts.log_lambda0
+    finite = np.isfinite(ts.log_left)
+    assert np.any(finite)
+    assert np.max(np.abs(gap[finite])) <= 1e-10
 
 
 def test_perron_residual_small_on_nnn_instances():
@@ -64,7 +99,7 @@ def test_perron_projection_limit():
     v = np.exp(ts.log_v)
     power = np.linalg.matrix_power(v, 20)
     projected = power / np.exp(20 * ts.log_lambda0)
-    outer = np.outer(ts.right, ts.left)
+    outer = np.outer(np.exp(ts.log_right), np.exp(ts.log_left))
     assert np.max(np.abs(projected - outer)) <= 1e-8
 
 
@@ -163,6 +198,7 @@ def test_large_space_power_iteration_path():
     assert ts.size == 128
     assert ts.perron_residual <= 1e-12
     v = np.exp(ts.log_v)
-    assert np.max(np.abs(v @ ts.right - np.exp(ts.log_lambda0) * ts.right)) <= 1e-10 * np.exp(
+    right = np.exp(ts.log_right)
+    assert np.max(np.abs(v @ right - np.exp(ts.log_lambda0) * right)) <= 1e-10 * np.exp(
         ts.log_lambda0
     )
