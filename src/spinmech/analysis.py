@@ -1,26 +1,52 @@
-"""Single-point pipeline, parameter sweeps, and file emission.
+"""Point pipeline, parameter sweeps, and file emission.
 
-A point runs model -> transfer -> stochastic chain -> machines and collects
-the information measures plus diagnostics into one record. Sweeps evaluate
-many points (optionally across processes; each point is pure) and assemble
-rows in index order, so output is bit-identical for a given config + seed.
+The pipeline runs model -> transfer -> stochastic chain -> machines over a
+stack of points that share one block space, and collects the information
+measures plus diagnostics. A sweep evaluates its points in chunks of
+CHUNK_SIZE (optionally across processes; each chunk is pure) and assembles
+rows in index order. A single point is a stack of one through the same
+functions, and every stage computes each point's values independently of
+the others in its stack, so rows are bit-identical for a given config +
+seed whatever the chunk boundaries or the number of processes.
 """
 
+import dataclasses
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, SpinmechError
-from .hamiltonian import Hamiltonian
+from .errors import ConfigError, NumericDomainError, SpinmechError, raise_first, record_failures
+from .hamiltonian import (
+    Hamiltonian,
+    check_couplings,
+    cross_energy_stack,
+    finite_models,
+    intra_energy_stack,
+    product_couplings,
+)
 from .lattice import BlockSpace, SpinAlphabet
-from .machine import MachineSet, block_machines, spin_machines
-from .markov import BlockChain, solve_stochastic
-from .models import NNNParams, NNParams, PBRWParams, nn_ising, nnn_ising, pbrw_ising
-from .transfer import GROUND_STATE_BETA, build_transfer
+from .machine import MachineSet, MachineStack, block_stack, spin_stack
+from .markov import BlockChain, ChainStack, class_members, invert_stack, window_stack
+from .models import NN_SPACE, NNN_SPACE, PBRWParams, pbrw_couplings
+from .transfer import GROUND_STATE_BETA, TransferStack, transfer_stack
+
+# The single-point stage functions stay reachable through this module,
+# where bench/tracing.py wraps them; the pipeline calls their stacked forms.
+from .machine import block_machines, spin_machines  # noqa: E402,F401
+from .markov import solve_stochastic  # noqa: E402,F401
+from .transfer import build_transfer  # noqa: E402,F401
+
+# Points per sweep chunk: the unit of work of a process, and the largest
+# stack the pipeline evaluates at once.
+CHUNK_SIZE = 256
+# Cap on P * S**3 for one stack: certification and row grouping build
+# (P, S, S, S) arrays, so wide block spaces run in shorter stacks.
+_STACK_ENTRIES = 1 << 16
 
 LN2 = math.log(2.0)
 
@@ -90,30 +116,79 @@ class PointResult:
 
 def analyze(hamiltonian: Hamiltonian, beta: float) -> PointResult:
     """Run the full pipeline at one point."""
-    ts = build_transfer(hamiltonian, beta)
-    chain = solve_stochastic(ts)
-    block = block_machines(chain)
-    if hamiltonian.blocks.n == 1:
-        # windows of one spin are the blocks themselves; the spin machine is
-        # the block machine read per spin
-        spin = MachineSet(
-            kind="spin",
-            machines=block.machines,
-            c_mu=block.c_mu,
-            h_mu=block.h_mu,
-            e_mu=block.e_mu,
-            e_paper=block.e_paper,
-        )
-    else:
-        spin = spin_machines(chain)
-    return PointResult(
-        beta=float(beta),
-        log_lambda0=ts.log_lambda0,
-        max_residual=float(chain.consistency_residual),
-        chain=chain,
-        block=block,
-        spin=spin,
+    errors = [None]
+    stack = evaluate_stack(
+        hamiltonian.blocks,
+        hamiltonian.intra_energies[None],
+        hamiltonian.cross_energies[None],
+        np.array([beta], dtype=float),
+        errors,
     )
+    raise_first(errors)
+    return stack.result(0)
+
+
+@dataclass(frozen=True)
+class PointStack:
+    """Every stage's output for a stack of points."""
+
+    betas: np.ndarray
+    transfer: TransferStack
+    chains: ChainStack
+    block: MachineStack
+    spin: MachineStack
+
+    def result(self, p: int) -> PointResult:
+        chain = self.chains.chain(p)
+        block = self.block.machine_set(p, chain.classes)
+        if self.spin is self.block:
+            # windows of one spin are the blocks themselves; the spin machine
+            # is the block machine read per spin
+            spin = dataclasses.replace(block, kind="spin")
+        else:
+            spin = self.spin.machine_set(p, class_members(self.spin.chains.labels[p]))
+        return PointResult(
+            beta=float(self.betas[p]),
+            log_lambda0=float(self.transfer.log_lambda0[p]),
+            max_residual=chain.consistency_residual,
+            chain=chain,
+            block=block,
+            spin=spin,
+        )
+
+    def metric_columns(self) -> dict[str, list]:
+        """The CSV metric columns (all but status), one list entry per point."""
+        block, spin = self.block, self.spin
+        columns = {
+            "log_lambda0": self.transfer.log_lambda0,
+            "C_mu": block.c_mu,
+            "h_mu": block.h_mu,
+            "E_mu": block.e_mu,
+            "E_paper": block.e_paper,
+            "C_mu_spin": spin.c_mu,
+            "h_mu_spin": spin.h_mu,
+            "E_spin": spin.e_mu,
+            "n_states": block.n_states,
+            "n_classes": block.n_classes,
+            "max_residual": self.chains.residual,
+        }
+        return {name: values.tolist() for name, values in columns.items()}
+
+
+def evaluate_stack(
+    space: BlockSpace, x: np.ndarray, y: np.ndarray, betas: np.ndarray, errors: list
+) -> PointStack:
+    """The pipeline over P points of one block space, from their (P, S)
+    intra and (P, S, S) cross energies; a point that fails gets its typed
+    error in ``errors`` and leaves the others untouched."""
+    transfer = transfer_stack(space, x, y, betas, errors)
+    chains = invert_stack(space, transfer.log_v, transfer.log_right, transfer.log_left, errors)
+    block = block_stack(chains, errors)
+    if space.n == 1:
+        spin = block
+    else:
+        spin = spin_stack(window_stack(space, chains.matrix, chains.limit_mass), errors)
+    return PointStack(betas=betas, transfer=transfer, chains=chains, block=block, spin=spin)
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +238,9 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 def _number(value, name: str, kind=float):
     """``kind(value)`` for one config field, or a ConfigError naming the field."""
+    # JSON true/false are not numbers, though float() and int() take them
+    if _has_bool(value):
+        raise ConfigError(f"{name} must be numeric, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -171,6 +249,12 @@ def _number(value, name: str, kind=float):
     if kind is int and isinstance(value, float) and number != value:
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return number
+
+
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def _float_list(value) -> list:
@@ -192,55 +276,68 @@ def resolve_beta(raw) -> float:
 
 def hamiltonian_from_config(model: dict, parameters: dict) -> tuple[Hamiltonian, float]:
     """Build a model and its beta from the config sections."""
-    if not isinstance(model, dict) or "preset" not in model:
-        raise ConfigError("model section must carry a 'preset' field")
+    _check_model(model)
     if not isinstance(parameters, dict):
         raise ConfigError("parameters section must be a JSON object")
+    space = _model_space(model)
+    beta, field, couplings = _point_terms(model["preset"], space, parameters)
+    return Hamiltonian(space, field, couplings), beta
+
+
+def _check_model(model) -> None:
+    if not isinstance(model, dict) or "preset" not in model:
+        raise ConfigError("model section must carry a 'preset' field")
+
+
+def _model_space(model: dict) -> BlockSpace:
+    """The block space a model section fixes for all its points."""
     preset = model["preset"]
+    if preset in ("nn", "pbrw"):
+        return NN_SPACE
+    if preset == "nnn":
+        return NNN_SPACE
+    if preset == "custom":
+        values = _number(model.get("alphabet", (-1.0, 1.0)), "model.alphabet", _float_list)
+        alphabet = SpinAlphabet(tuple(values))
+        if "range" not in model:
+            raise ConfigError("custom model needs a 'range' field")
+        return BlockSpace(alphabet, _number(model["range"], "model.range", int))
+    raise ConfigError(f"unknown preset {preset!r}; choose nn, nnn, pbrw, or custom")
+
+
+def _point_terms(
+    preset: str, space: BlockSpace, parameters: dict
+) -> tuple[float, float, np.ndarray]:
+    """(beta, field, coupling table) of one point's parameters."""
     try:
         if preset == "nn":
             beta = resolve_beta(parameters["beta"])
             j, b = _number(parameters["J"], "J"), _number(parameters["B"], "B")
-            return nn_ising(NNParams(J=j, B=b, beta=beta)), beta
+            return beta, b, _product(space, [j])
         if preset == "nnn":
             beta = resolve_beta(parameters["beta"])
-            return (
-                nnn_ising(
-                    NNNParams(
-                        J1=_number(parameters["J1"], "J1"),
-                        J2=_number(parameters["J2"], "J2"),
-                        B=_number(parameters["B"], "B"),
-                        beta=beta,
-                    )
-                ),
-                beta,
-            )
+            j1, j2 = _number(parameters["J1"], "J1"), _number(parameters["J2"], "J2")
+            return beta, _number(parameters["B"], "B"), _product(space, [j1, j2])
         if preset == "pbrw":
-            params = PBRWParams(p=_number(parameters["p"], "p"), r=_number(parameters["r"], "r"))
-            return pbrw_ising(params), 1.0
-        if preset == "custom":
-            return _custom_hamiltonian(model, parameters)
+            nn = pbrw_couplings(
+                PBRWParams(p=_number(parameters["p"], "p"), r=_number(parameters["r"], "r"))
+            )
+            return nn.beta, nn.B, _product(space, [nn.J])
+        beta = resolve_beta(parameters["beta"])
     except KeyError as exc:
         raise ConfigError(f"preset {preset!r} needs parameter {exc.args[0]!r}") from exc
-    raise ConfigError(f"unknown preset {preset!r}; choose nn, nnn, pbrw, or custom")
-
-
-def _custom_hamiltonian(model: dict, parameters: dict) -> tuple[Hamiltonian, float]:
-    values = _number(model.get("alphabet", (-1.0, 1.0)), "model.alphabet", _float_list)
-    alphabet = SpinAlphabet(tuple(values))
-    if "range" not in model:
-        raise ConfigError("custom model needs a 'range' field")
-    space = BlockSpace(alphabet, _number(model["range"], "model.range", int))
-    beta = resolve_beta(parameters["beta"])
     field = _number(parameters.get("field", 0.0), "field")
     couplings = parameters.get("couplings")
     if couplings is None:
         raise ConfigError("custom model needs parameters.couplings")
     if isinstance(couplings, dict) and "product" in couplings:
         j_by_distance = _number(couplings["product"], "couplings.product", _float_list)
-        return Hamiltonian.pair_product(space, field, j_by_distance), beta
-    table = _number(couplings, "couplings", _float_list)
-    return Hamiltonian(space, field, table), beta
+        return beta, field, _product(space, j_by_distance)
+    return beta, field, check_couplings(space, _number(couplings, "couplings", _float_list))
+
+
+def _product(space: BlockSpace, j_by_distance: list) -> np.ndarray:
+    return product_couplings(space, np.array([j_by_distance], dtype=float))[0]
 
 
 # ----------------------------------------------------------------------
@@ -309,41 +406,75 @@ def sweep_points(sweep: dict) -> tuple[list[str], np.ndarray]:
 
 def evaluate_sweep_point(model: dict, base_parameters: dict, point: dict) -> dict:
     """One sweep row: metrics on success, an error status otherwise."""
-    parameters = dict(base_parameters)
-    parameters.update(point)
-    row = {name: float(value) for name, value in point.items()}
+    return evaluate_chunk(model, base_parameters, list(point), [list(point.values())])[0]
+
+
+def evaluate_chunk(
+    model: dict, base_parameters: dict, names: list[str], values: list[list[float]]
+) -> list[dict]:
+    """Sweep rows of the points ``values`` (one list per point, aligned
+    with ``names``), evaluated as stacks; a failing point gets its error
+    status and leaves the other rows untouched."""
+    rows = [{name: float(v) for name, v in zip(names, point)} for point in values]
+    errors = [None] * len(rows)
     try:
-        hamiltonian, beta = hamiltonian_from_config(model, parameters)
-        result = analyze(hamiltonian, beta)
-        row.update(
-            log_lambda0=result.log_lambda0,
-            C_mu=result.c_mu,
-            h_mu=result.h_mu,
-            E_mu=result.e_mu,
-            E_paper=result.e_paper,
-            C_mu_spin=result.c_mu_spin,
-            h_mu_spin=result.h_mu_spin,
-            E_spin=result.e_spin,
-            n_states=result.n_states,
-            n_classes=result.n_classes,
-            max_residual=result.max_residual,
-            status="ok",
-        )
+        _check_model(model)
+        space = _model_space(model)
     except SpinmechError as exc:
-        row.update(
-            log_lambda0=math.nan,
-            C_mu=math.nan,
-            h_mu=math.nan,
-            E_mu=math.nan,
-            E_paper=math.nan,
-            C_mu_spin=math.nan,
-            h_mu_spin=math.nan,
-            E_spin=math.nan,
-            n_states=0,
-            n_classes=0,
-            max_residual=math.nan,
-            status=_error_code(exc),
-        )
+        return [_failed_row(row, exc) for row in rows]
+
+    theta = space.alphabet.size
+    neutral = (0.0, 0.0, np.zeros((space.n, theta, theta)))
+    terms = []
+    for p, row in enumerate(rows):
+        parameters = dict(base_parameters)
+        parameters.update(row)
+        try:
+            terms.append(_point_terms(model["preset"], space, parameters))
+        except SpinmechError as exc:
+            errors[p] = exc
+            terms.append(neutral)
+    betas = np.array([t[0] for t in terms])
+    fields = np.array([t[1] for t in terms])
+    couplings = np.stack([t[2] for t in terms])
+    finite = finite_models(fields, couplings)
+    record_failures(
+        errors, ~finite, lambda p: NumericDomainError("couplings and field must be finite")
+    )
+    fields[~finite] = 0.0
+    couplings[~finite] = 0.0
+    x = intra_energy_stack(space, fields, couplings)
+    y = cross_energy_stack(space, couplings)
+
+    step = max(1, _STACK_ENTRIES // space.size**3)
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        stack_errors = errors[lo:hi]
+        stack = evaluate_stack(space, x[lo:hi], y[lo:hi], betas[lo:hi], stack_errors)
+        errors[lo:hi] = stack_errors
+        columns = stack.metric_columns()
+        for k, row in enumerate(rows[lo:hi]):
+            for name, column in columns.items():
+                row[name] = column[k]
+            row["status"] = "ok"
+    return [row if exc is None else _failed_row(row, exc) for row, exc in zip(rows, errors)]
+
+
+def _failed_row(row: dict, exc: SpinmechError) -> dict:
+    row.update(
+        log_lambda0=math.nan,
+        C_mu=math.nan,
+        h_mu=math.nan,
+        E_mu=math.nan,
+        E_paper=math.nan,
+        C_mu_spin=math.nan,
+        h_mu_spin=math.nan,
+        E_spin=math.nan,
+        n_states=0,
+        n_classes=0,
+        max_residual=math.nan,
+        status=_error_code(exc),
+    )
     return row
 
 
@@ -357,14 +488,12 @@ def _error_code(exc: SpinmechError) -> str:
     return "".join(out)
 
 
-def _sweep_worker(args: tuple) -> dict:
-    model, base_parameters, names, values = args
-    point = dict(zip(names, values))
-    return evaluate_sweep_point(model, base_parameters, point)
-
-
 def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[dict]]:
-    """Evaluate every sweep point; returns (parameter names, rows in order)."""
+    """Evaluate every sweep point; returns (parameter names, rows in order).
+
+    Points go in chunks of CHUNK_SIZE; with ``jobs`` > 1 whole chunks go to
+    a pool of at most one process per chunk.
+    """
     model = config.get("model")
     if model is None:
         raise ConfigError("config needs a model section")
@@ -373,16 +502,17 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
         raise ConfigError("parameters section must be a JSON object")
     names, values = sweep_points(config.get("sweep"))
 
-    tasks = [(model, base_parameters, names, row.tolist()) for row in values]
+    chunks = [values[lo : lo + CHUNK_SIZE].tolist() for lo in range(0, len(values), CHUNK_SIZE)]
+    args = (repeat(model), repeat(base_parameters), repeat(names), chunks)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
-    if jobs > 1 and len(tasks) > 64:
-        chunk = max(16, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, tasks, chunksize=chunk))
+    workers = min(jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(evaluate_chunk, *args))
     else:
-        rows = [_sweep_worker(task) for task in tasks]
-    return names, rows
+        parts = list(map(evaluate_chunk, *args))
+    return names, [row for part in parts for row in part]
 
 
 def format_csv(names: list[str], rows: list[dict], units: str = "bits") -> str:

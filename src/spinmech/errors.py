@@ -45,10 +45,6 @@ class PartitionAmbiguityError(SpinmechError):
     """Tolerance clustering of rows is not transitive; no honest partition."""
 
 
-class UnifilarityError(SpinmechError):
-    """An emitted symbol failed to determine the successor state uniquely."""
-
-
 class EnumerationTooLargeError(SpinmechError):
     """Exhaustive enumeration would exceed the configuration guard."""
 
@@ -79,3 +75,21 @@ class LimitParameterError(SpinmechError):
 
 class ConfigError(SpinmechError):
     """A configuration file or override could not be interpreted."""
+
+
+def record_failures(errors: list, mask, make) -> None:
+    """Store ``make(p)`` for each point p flagged in ``mask`` that has not failed yet.
+
+    Stacked stages record a typed error per point in ``errors`` (None for a
+    point still running) instead of raising, so one bad point never fails
+    the others evaluated with it.
+    """
+    for p in mask.nonzero()[0].tolist():
+        if errors[p] is None:
+            errors[p] = make(p)
+
+
+def raise_first(errors: list) -> None:
+    """Raise the error of a single-point stack, if it failed."""
+    if errors[0] is not None:
+        raise errors[0]

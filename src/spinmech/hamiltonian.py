@@ -30,16 +30,8 @@ class Hamiltonian:
     couplings: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.couplings, dtype=float)
-        theta = self.blocks.alphabet.size
-        expected = (self.blocks.n, theta, theta)
-        if table.shape != expected:
-            raise NumericDomainError(
-                f"couplings shape {table.shape} != {expected}"
-            )
-        if not np.array_equal(table, table.transpose(0, 2, 1)):
-            raise NumericDomainError("pair couplings must be symmetric in the spins")
-        if not (np.all(np.isfinite(table)) and np.isfinite(self.field)):
+        table = check_couplings(self.blocks, self.couplings)
+        if not finite_models(np.array([self.field]), table[None])[0]:
             raise NumericDomainError("couplings and field must be finite")
         object.__setattr__(self, "couplings", table)
         object.__setattr__(self, "field", float(self.field))
@@ -49,26 +41,13 @@ class Hamiltonian:
         cls, blocks: BlockSpace, field: float, j_by_distance: Sequence[float]
     ) -> "Hamiltonian":
         """Product-form couplings: pair energy at distance d is -J_d * s * s'."""
-        if len(j_by_distance) != blocks.n:
-            raise NumericDomainError(
-                f"need {blocks.n} couplings, got {len(j_by_distance)}"
-            )
-        vals = np.asarray(blocks.alphabet.values, dtype=float)
-        table = np.stack(
-            [-float(j) * np.outer(vals, vals) for j in j_by_distance], axis=0
-        )
+        table = product_couplings(blocks, np.asarray(j_by_distance, dtype=float)[None])[0]
         return cls(blocks, field, table)
 
     @cached_property
     def intra_energies(self) -> np.ndarray:
         """Vector over blocks of within-block energies (field + inner pairs)."""
-        space = self.blocks
-        digits = space.digit_table
-        x = -self.field * space.value_table.sum(axis=1)
-        for i in range(space.n - 1):
-            for k in range(i + 1, space.n):
-                x = x + self.couplings[k - i - 1, digits[:, i], digits[:, k]]
-        return x
+        return intra_energy_stack(self.blocks, np.array([self.field]), self.couplings[None])[0]
 
     @cached_property
     def cross_energies(self) -> np.ndarray:
@@ -77,14 +56,7 @@ class Hamiltonian:
         Entry (p, q) couples the spins of block p to those of the block q
         immediately to its right; the matrix is not symmetric in general.
         """
-        space = self.blocks
-        digits = space.digit_table
-        y = np.zeros((space.size, space.size))
-        for i in range(space.n):
-            for k in range(i + 1):
-                d = space.n - i + k
-                y = y + self.couplings[d - 1, digits[:, i][:, None], digits[:, k][None, :]]
-        return y
+        return cross_energy_stack(self.blocks, self.couplings[None])[0]
 
     def intra_block_energy(self, block: int) -> float:
         """Energy of the spins inside one block, including the field term."""
@@ -143,6 +115,56 @@ class Hamiltonian:
                     continue
                 energy += self.couplings[d - 1, idx[i], idx[j]]
         return energy
+
+
+def check_couplings(space: BlockSpace, couplings) -> np.ndarray:
+    """The (n, theta, theta) coupling table as floats; raises unless its
+    shape fits ``space`` and it is symmetric in the spins."""
+    table = np.asarray(couplings, dtype=float)
+    theta = space.alphabet.size
+    expected = (space.n, theta, theta)
+    if table.shape != expected:
+        raise NumericDomainError(f"couplings shape {table.shape} != {expected}")
+    if not np.array_equal(table, table.transpose(0, 2, 1)):
+        raise NumericDomainError("pair couplings must be symmetric in the spins")
+    return table
+
+
+def finite_models(fields: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """(P,) mask of models whose field and couplings are all finite."""
+    return np.isfinite(couplings).all(axis=(1, 2, 3)) & np.isfinite(fields)
+
+
+def product_couplings(space: BlockSpace, j_by_distance: np.ndarray) -> np.ndarray:
+    """(P, n, theta, theta) product-form tables from (P, n) couplings J_d.
+
+    The pair energy at distance d is -J_d * s * s'.
+    """
+    if j_by_distance.shape[1] != space.n:
+        raise NumericDomainError(f"need {space.n} couplings, got {j_by_distance.shape[1]}")
+    vals = np.asarray(space.alphabet.values, dtype=float)
+    return -j_by_distance[:, :, None, None] * np.outer(vals, vals)
+
+
+def intra_energy_stack(space: BlockSpace, fields: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """(P, size) within-block energies of P models sharing one block space."""
+    digits = space.digit_table
+    x = -fields[:, None] * space.value_table.sum(axis=1)
+    for i in range(space.n - 1):
+        for k in range(i + 1, space.n):
+            x = x + couplings[:, k - i - 1, digits[:, i], digits[:, k]]
+    return x
+
+
+def cross_energy_stack(space: BlockSpace, couplings: np.ndarray) -> np.ndarray:
+    """(P, size, size) between-block energies of P models sharing one block space."""
+    digits = space.digit_table
+    y = np.zeros((couplings.shape[0], space.size, space.size))
+    for i in range(space.n):
+        for k in range(i + 1):
+            d = space.n - i + k
+            y = y + couplings[:, d - 1, digits[:, i][:, None], digits[:, k][None, :]]
+    return y
 
 
 def _check_boundary(boundary: str) -> None:

@@ -58,17 +58,5 @@ def log_matrix_power(log_mat: np.ndarray, n: int) -> np.ndarray:
 def xlog2x(p: np.ndarray) -> np.ndarray:
     """p * log2(p) elementwise with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
-
-
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    return float(-np.sum(xlog2x(p)) + 0.0)
-
-
-def row_entropy_bits(matrix: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted average of per-row entropies: sum_i w_i * H(matrix[i, :])."""
-    return float(-np.dot(weights, np.sum(xlog2x(matrix), axis=1)) + 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log2(p), 0.0)

@@ -78,6 +78,13 @@ class BlockSpace:
         return self.digit_table @ self.alphabet.size ** np.arange(self.n)
 
     @cached_property
+    def shift_table(self) -> np.ndarray:
+        """(size, theta) array: entry [b, s] is ``shift_append(b, s)``."""
+        theta = self.alphabet.size
+        stride = theta ** (self.n - 1)
+        return (np.arange(self.size) % stride)[:, np.newaxis] * theta + np.arange(theta)
+
+    @cached_property
     def value_table(self) -> np.ndarray:
         """(size, n) array of spin values, aligned with digit_table."""
         return np.asarray(self.alphabet.values, dtype=float)[self.digit_table]

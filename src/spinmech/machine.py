@@ -13,14 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PartitionAmbiguityError, UnifilarityError
-from .info import entropy_bits, row_entropy_bits
-from .markov import SUPPORT_FLOOR, BlockChain, restrict_to_class, window_chain
+from .errors import PartitionAmbiguityError, raise_first, record_failures
+from .info import xlog2x
+from .markov import (
+    SUPPORT_FLOOR,
+    BlockChain,
+    ChainStack,
+    chain_stack,
+    class_members,
+    closure,
+    window_stack,
+)
 
 # Rows closer than this (max-norm) condition the same future.
 MERGE_TOL = 1e-9
 # Excess-entropy forms are reported as agreeing when closer than this.
 _FORMS_TOL = 1e-9
+# Mutual-information excess entropies in (-this, 0) are rounding, read as 0.
+_CLAMP_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,226 +120,236 @@ class MachineSet:
         return max(m.n_states for m in self.machines)
 
 
+@dataclass(frozen=True)
+class MachineStack:
+    """Machines of P points read from one chain stack, stacked on axis 0.
+
+    ``emission[p, i, k]`` is the probability that chain state i emits
+    symbol k and ``successor[i, k]`` the state it leads to, the same for
+    every point (block machines: ``successor[0, k] = k`` for every i);
+    ``groups[p, i]`` is the smallest member of i's causal
+    state, -1 for transient states. The information measures are given per
+    recurrent class (``class_*``, indexed like ``chains.weights``) and as
+    class-weighted ensemble values.
+    """
+
+    kind: str
+    chains: ChainStack
+    emission: np.ndarray
+    successor: np.ndarray
+    groups: np.ndarray
+    probs: np.ndarray
+    class_c_mu: np.ndarray
+    class_h_mu: np.ndarray
+    class_h_marginal: np.ndarray
+    class_e_mu: np.ndarray
+    class_e_paper: np.ndarray
+    c_mu: np.ndarray
+    h_mu: np.ndarray
+    e_mu: np.ndarray
+    e_paper: np.ndarray
+    n_states: np.ndarray
+    n_classes: np.ndarray
+
+    def machine_set(self, p: int, classes: tuple[np.ndarray, ...]) -> MachineSet:
+        """The machines of point p; ``classes`` are its chain's class members."""
+        machines = tuple(self._machine(p, c, members) for c, members in enumerate(classes))
+        return MachineSet(
+            kind=self.kind,
+            machines=machines,
+            c_mu=float(self.c_mu[p]),
+            h_mu=float(self.h_mu[p]),
+            e_mu=float(self.e_mu[p]),
+            e_paper=float(self.e_paper[p]),
+        )
+
+    def _machine(self, p: int, c: int, members: np.ndarray) -> Machine:
+        chains = self.chains
+        groups = self.groups[p, members]
+        reps = members[groups == members]
+        assignments = np.searchsorted(reps, groups)
+        state_of = np.full(chains.space.size, -1)
+        state_of[members] = assignments
+        if self.kind == "block":
+            symbols = tuple(int(b) for b in members)
+            emitted = self.emission[p][np.ix_(members, members)]
+            targets = np.broadcast_to(state_of[members], emitted.shape)
+        else:
+            symbols = tuple(range(self.emission.shape[2]))
+            emitted = self.emission[p, members]
+            targets = state_of[self.successor[members]]
+        targets = np.where(emitted > SUPPORT_FLOOR, targets, -1)
+        pi = chains.pi[p, members]
+        emission = np.zeros((len(reps), len(symbols)))
+        successor = np.full((len(reps), len(symbols)), -1)
+        for r in range(len(reps)):
+            rows = assignments == r
+            w = pi[rows]
+            total = w.sum()
+            share = w / total if total > 0.0 else np.full(len(w), 1.0 / len(w))
+            emission[r] = (share[:, np.newaxis] * emitted[rows]).sum(axis=0)
+            # the partition is stable, so every member emitting a symbol
+            # moves to the same causal state
+            successor[r] = np.where(emission[r] > SUPPORT_FLOOR, targets[rows].max(axis=0), -1)
+        partition = CausalPartition(
+            members=members,
+            assignments=assignments,
+            states=tuple(tuple(members[assignments == r].tolist()) for r in range(len(reps))),
+            probs=self.probs[p, reps],
+        )
+        return Machine(
+            kind=self.kind,
+            members=members,
+            partition=partition,
+            symbols=symbols,
+            emission=emission,
+            successor=successor,
+            weight=float(chains.weights[p, c]),
+            c_mu=float(self.class_c_mu[p, c]),
+            h_mu=float(self.class_h_mu[p, c]),
+            h_marginal=float(self.class_h_marginal[p, c]),
+            e_mu=float(self.class_e_mu[p, c]),
+            e_paper=float(self.class_e_paper[p, c]),
+        )
+
+
 def block_machines(chain: BlockChain) -> MachineSet:
     """Block-emitting machines, one per recurrent class."""
-    machines = []
-    for index in range(len(chain.classes)):
-        members, sub, pi = restrict_to_class(chain, index)
-        successors = np.broadcast_to(np.arange(len(members)), (len(members), len(members)))
-        partition = _partition(members, sub, successors, pi)
-        machines.append(
-            _finish_machine(
-                "block",
-                members,
-                partition,
-                tuple(int(b) for b in members),
-                sub,
-                successors,
-                pi,
-                weight=float(chain.class_weights[index]),
-                n=chain.space.n,
-            )
-        )
-    return _ensemble("block", machines)
+    errors = [None]
+    stack = block_stack(_chain_stack_of(chain), errors)
+    raise_first(errors)
+    return stack.machine_set(0, chain.classes)
 
 
 def spin_machines(chain: BlockChain) -> MachineSet:
     """Spin-emitting machines over sliding windows, one per recurrent class."""
-    wchain = window_chain(chain)
-    space = wchain.space
-    theta = space.alphabet.size
-    machines = []
-    for index in range(len(wchain.classes)):
-        members, _, pi = restrict_to_class(wchain, index)
-        local = {int(w): k for k, w in enumerate(members)}
-        emission = np.zeros((len(members), theta))
-        successors = np.full((len(members), theta), -1, dtype=int)
-        for k, w in enumerate(members):
-            for s in range(theta):
-                target = space.shift_append(int(w), s)
-                prob = wchain.matrix[int(w), target]
-                emission[k, s] = prob
-                if prob > SUPPORT_FLOOR:
-                    if target not in local:
-                        raise UnifilarityError(
-                            f"window {int(w)} leaves its recurrent class on spin {s}"
-                        )
-                    successors[k, s] = local[target]
-        partition = _partition(members, emission, successors, pi)
-        machines.append(
-            _finish_machine(
-                "spin",
-                members,
-                partition,
-                tuple(range(theta)),
-                emission,
-                successors,
-                pi,
-                weight=float(wchain.class_weights[index]),
-                n=space.n,
-            )
-        )
-    return _ensemble("spin", machines)
+    if chain.space.n == 1:
+        windows = _chain_stack_of(chain)
+    else:
+        windows = window_stack(chain.space, chain.matrix[None], chain.limit_mass[None])
+    errors = [None]
+    stack = spin_stack(windows, errors)
+    raise_first(errors)
+    return stack.machine_set(0, class_members(windows.labels[0]))
 
 
-def _partition(
-    members: np.ndarray,
-    emission: np.ndarray,
-    successors: np.ndarray,
-    pi: np.ndarray,
-) -> CausalPartition:
-    labels = _tolerance_groups(emission, MERGE_TOL)
-    labels = _refine(labels, emission, successors)
-    order = _canonical_order(labels)
-    states = tuple(
-        tuple(int(members[k]) for k in np.flatnonzero(labels == lab)) for lab in order
+def block_stack(chains: ChainStack, errors: list) -> MachineStack:
+    """Block machines of a chain stack: blocks whose class-restricted rows
+    coincide are one causal state, and emitting a block moves to it."""
+    successor = np.arange(chains.space.size)[np.newaxis, :]
+    return _machine_stack("block", chains, chains.rows, successor, errors)
+
+
+def spin_stack(windows: ChainStack, errors: list) -> MachineStack:
+    """Spin machines of a stack of window chains (block chains for n = 1)."""
+    successor = windows.space.shift_table
+    emission = windows.matrix[:, np.arange(len(successor))[:, np.newaxis], successor]
+    return _machine_stack("spin", windows, emission, successor, errors)
+
+
+def _chain_stack_of(chain: BlockChain) -> ChainStack:
+    return chain_stack(chain.space, chain.matrix[None], chain.limit_mass[None], residual=None)
+
+
+def _machine_stack(
+    kind: str, chains: ChainStack, emission: np.ndarray, successor: np.ndarray, errors: list
+) -> MachineStack:
+    labels = chains.labels
+    slots = np.arange(labels.shape[1])
+    groups, spread = _close_groups(emission, labels, MERGE_TOL)
+    record_failures(errors, spread > MERGE_TOL, lambda p: _ambiguity(spread[p], MERGE_TOL))
+    groups = _refine(groups, labels, emission, successor)
+
+    pi = chains.pi
+    is_state = groups == slots
+    probs = (pi[:, :, np.newaxis] * (groups[:, :, np.newaxis] == slots)).sum(axis=1)
+    # per-state terms summed over each class; a causal-state slot g belongs
+    # to the class of its smallest member g
+    terms = np.stack(
+        [xlog2x(probs), pi * xlog2x(emission).sum(axis=2), xlog2x(pi), is_state], axis=2
     )
-    assignments = np.empty(len(members), dtype=int)
-    for new, lab in enumerate(order):
-        assignments[labels == lab] = new
-    probs = np.array([pi[labels == lab].sum() for lab in order])
-    return CausalPartition(
-        members=members, assignments=assignments, states=states, probs=probs
+    sums = (terms[:, :, np.newaxis, :] * chains.in_class[:, :, :, np.newaxis]).sum(axis=1)
+    c_mu = -sums[:, :, 0] + 0.0
+    h_mu = -sums[:, :, 1] + 0.0
+    h_marginal = -sums[:, :, 2] + 0.0
+    per_emission = chains.space.n * h_mu if kind == "spin" else h_mu
+    e_mu = h_marginal - per_emission
+    e_mu = np.where((e_mu > -_CLAMP_EPS) & (e_mu < 0.0), 0.0, e_mu)
+    e_paper = c_mu - per_emission
+
+    weights = chains.weights / chains.weights.sum(axis=1, keepdims=True)
+    values = np.stack([c_mu, h_mu, e_mu, e_paper], axis=2)
+    ensemble = (weights[:, :, np.newaxis] * values).sum(axis=1)
+    return MachineStack(
+        kind=kind,
+        chains=chains,
+        emission=emission,
+        successor=successor,
+        groups=groups,
+        probs=probs,
+        class_c_mu=c_mu,
+        class_h_mu=h_mu,
+        class_h_marginal=h_marginal,
+        class_e_mu=e_mu,
+        class_e_paper=e_paper,
+        c_mu=ensemble[:, 0],
+        h_mu=ensemble[:, 1],
+        e_mu=ensemble[:, 2],
+        e_paper=ensemble[:, 3],
+        n_states=sums[:, :, 3].max(axis=1).astype(int),
+        n_classes=labels.max(axis=1) + 1,
     )
 
 
 def _tolerance_groups(rows: np.ndarray, tol: float) -> np.ndarray:
     """Group near-identical rows; non-transitive closeness is an error."""
-    m = rows.shape[0]
-    dist = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2)
-    close = dist <= tol
-    labels = np.full(m, -1, dtype=int)
-    current = 0
-    for start in range(m):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        component = []
-        labels[start] = current
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for other in np.flatnonzero(close[node]):
-                if labels[other] < 0:
-                    labels[other] = current
-                    stack.append(int(other))
-        comp = np.array(component)
-        pair_dist = dist[np.ix_(comp, comp)]
-        if np.any(pair_dist > tol):
-            worst = float(pair_dist.max())
-            raise PartitionAmbiguityError(
-                f"row clustering at tol={tol:.1e} is not transitive "
-                f"(component spread {worst:.3e}); point sits too close to a merge boundary"
-            )
-        current += 1
-    return labels
+    groups, spread = _close_groups(rows[None], np.zeros((1, rows.shape[0]), dtype=int), tol)
+    if spread[0] > tol:
+        raise _ambiguity(spread[0], tol)
+    return groups[0]
 
 
-def _refine(labels: np.ndarray, emission: np.ndarray, successors: np.ndarray) -> np.ndarray:
+def _close_groups(
+    emission: np.ndarray, labels: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of one class within ``tol`` (max-norm) of each other, chained.
+
+    Returns each state's smallest linked state (-1 for transients) and,
+    per point, the widest distance inside a linked group: above ``tol``
+    the closeness is not transitive and no honest grouping exists.
+    """
+    dist = np.abs(emission[:, :, np.newaxis, :] - emission[:, np.newaxis, :, :]).max(axis=3)
+    same = (labels[:, :, np.newaxis] == labels[:, np.newaxis, :]) & (labels >= 0)[:, :, np.newaxis]
+    linked = closure((dist <= tol) & same)
+    spread = np.where(linked, dist, 0.0).max(axis=(1, 2))
+    return np.where(labels >= 0, linked.argmax(axis=2), -1), spread
+
+
+def _ambiguity(spread: float, tol: float) -> PartitionAmbiguityError:
+    return PartitionAmbiguityError(
+        f"row clustering at tol={tol:.1e} is not transitive "
+        f"(component spread {spread:.3e}); point sits too close to a merge boundary"
+    )
+
+
+def _refine(
+    groups: np.ndarray, labels: np.ndarray, emission: np.ndarray, successor: np.ndarray
+) -> np.ndarray:
     """Split groups until emitting any symbol maps states onto states.
 
     A signature pairs a member's group with the groups its allowed
-    emissions lead to; regrouping by signature can only split, so the
-    count stabilizing means a fixed point.
+    emissions lead to; regrouping by signature can only split, so an
+    unchanged grouping is the fixed point.
     """
-    labels = labels.copy()
+    support = emission > SUPPORT_FLOOR
+    recurrent = labels >= 0
     while True:
-        signatures: dict[tuple[int, ...], int] = {}
-        new_labels = np.empty_like(labels)
-        for k in range(len(labels)):
-            sig = (int(labels[k]),) + tuple(
-                int(labels[successors[k, s]]) if emission[k, s] > SUPPORT_FLOOR else -1
-                for s in range(emission.shape[1])
-            )
-            new_labels[k] = signatures.setdefault(sig, len(signatures))
-        if len(signatures) == len(set(labels.tolist())):
-            return labels
-        labels = new_labels
-
-
-def _canonical_order(labels: np.ndarray) -> list[int]:
-    seen = []
-    for lab in labels:
-        if lab not in seen:
-            seen.append(int(lab))
-    return seen
-
-
-def _finish_machine(
-    kind: str,
-    members: np.ndarray,
-    partition: CausalPartition,
-    symbols: tuple[int, ...],
-    emission_members: np.ndarray,
-    successors_members: np.ndarray,
-    pi: np.ndarray,
-    weight: float,
-    n: int,
-) -> Machine:
-    n_states = partition.n_states
-    n_sym = len(symbols)
-    emission = np.zeros((n_states, n_sym))
-    successor = np.full((n_states, n_sym), -1, dtype=int)
-    for r in range(n_states):
-        rows = np.flatnonzero(partition.assignments == r)
-        w = pi[rows]
-        total = w.sum()
-        share = w / total if total > 0.0 else np.full(len(rows), 1.0 / len(rows))
-        emission[r] = share @ emission_members[rows]
-        for k in range(n_sym):
-            if emission[r, k] <= SUPPORT_FLOOR:
-                continue
-            targets = {
-                int(partition.assignments[successors_members[j, k]])
-                for j in rows
-                if emission_members[j, k] > SUPPORT_FLOOR
-            }
-            if len(targets) != 1:
-                raise UnifilarityError(
-                    f"symbol {symbols[k]} from state {r} reaches states {sorted(targets)}"
-                )
-            successor[r, k] = targets.pop()
-
-    c_mu = entropy_bits(partition.probs)
-    h_mu = row_entropy_bits(emission_members, pi)
-    h_marginal = entropy_bits(pi)
-    per_emission = n * h_mu if kind == "spin" else h_mu
-    e_mu = _clamp_tiny_negative(h_marginal - per_emission)
-    e_paper = c_mu - per_emission
-    return Machine(
-        kind=kind,
-        members=members,
-        partition=partition,
-        symbols=symbols,
-        emission=emission,
-        successor=successor,
-        weight=weight,
-        c_mu=c_mu,
-        h_mu=h_mu,
-        h_marginal=h_marginal,
-        e_mu=e_mu,
-        e_paper=e_paper,
-    )
-
-
-def _ensemble(kind: str, machines: list[Machine]) -> MachineSet:
-    weights = np.array([m.weight for m in machines])
-    weights = weights / weights.sum()
-
-    def avg(values):
-        return float(np.dot(weights, values))
-
-    return MachineSet(
-        kind=kind,
-        machines=tuple(machines),
-        c_mu=avg([m.c_mu for m in machines]),
-        h_mu=avg([m.h_mu for m in machines]),
-        e_mu=avg([m.e_mu for m in machines]),
-        e_paper=avg([m.e_paper for m in machines]),
-    )
-
-
-def _clamp_tiny_negative(value: float, eps: float = 1e-12) -> float:
-    if -eps < value < 0.0:
-        return 0.0
-    return value
+        # column 0 is the member's own group
+        signature = np.concatenate(
+            [groups[:, :, np.newaxis], np.where(support, groups[:, successor], -1)], axis=2
+        )
+        agree = (signature[:, :, np.newaxis, :] == signature[:, np.newaxis, :, :]).all(axis=3)
+        refined = np.where(recurrent, agree.argmax(axis=2), -1)
+        if (refined == groups).all():
+            return groups
+        groups = refined

@@ -62,16 +62,20 @@ class NNReference:
     p_up_up: float
 
 
+# One block space per preset, shared by every model built from it, so its
+# index tables are computed once per process.
+NN_SPACE = BlockSpace(BINARY, 1)
+NNN_SPACE = BlockSpace(BINARY, 2)
+
+
 def nn_ising(params: NNParams) -> Hamiltonian:
     """Binary range-1 chain with energy -B*sum(s) - J*sum(s s')."""
-    space = BlockSpace(BINARY, 1)
-    return Hamiltonian.pair_product(space, params.B, [params.J])
+    return Hamiltonian.pair_product(NN_SPACE, params.B, [params.J])
 
 
 def nnn_ising(params: NNNParams) -> Hamiltonian:
     """Binary range-2 chain with distance-resolved couplings J1, J2."""
-    space = BlockSpace(BINARY, 2)
-    return Hamiltonian.pair_product(space, params.B, [params.J1, params.J2])
+    return Hamiltonian.pair_product(NNN_SPACE, params.B, [params.J1, params.J2])
 
 
 def nn_reference_values(params: NNParams) -> NNReference:
@@ -153,6 +157,11 @@ def pbrw_ising(params: PBRWParams) -> Hamiltonian:
     probability of repeating the previous step when r = 1/2, and r exactly
     the marginal right-step probability when p = 1/2.
     """
+    return nn_ising(pbrw_couplings(params))
+
+
+def pbrw_couplings(params: PBRWParams) -> NNParams:
+    """The NN parameters of the walk; see pbrw_ising."""
     if not (0.0 < params.p < 1.0 and 0.0 < params.r < 1.0):
         raise LimitParameterError(
             "p and r must lie strictly inside (0, 1); the endpoints are "
@@ -160,7 +169,7 @@ def pbrw_ising(params: PBRWParams) -> Hamiltonian:
         )
     j = 0.5 * math.log(params.p / (1.0 - params.p))
     b = 0.5 * math.log(params.r / (1.0 - params.r))
-    return nn_ising(NNParams(J=j, B=b, beta=1.0))
+    return NNParams(J=j, B=b, beta=1.0)
 
 
 def pbrw(params: PBRWParams) -> BlockChain:

@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmech
+from spinmech import analysis, markov
 from spinmech.analysis import (
     analyze,
     apply_overrides,
@@ -16,6 +20,7 @@ from spinmech.analysis import (
     sweep_points,
 )
 from spinmech.errors import ConfigError
+from spinmech.hamiltonian import Hamiltonian
 from spinmech.models import NNParams, nn_ising
 from spinmech.transfer import GROUND_STATE_BETA
 
@@ -24,6 +29,21 @@ E2BJ3 = 0.5 * math.log(3.0)
 NN_CONFIG = {
     "model": {"preset": "nn"},
     "parameters": {"beta": 1.0, "J": E2BJ3, "B": 0.0},
+}
+
+NN_SWEEP = {
+    "model": {"preset": "nn"},
+    "parameters": {},
+    "sweep": {
+        "mode": "random",
+        "count": 10,
+        "seed": 4,
+        "parameters": {
+            "beta": {"low": 0.01, "high": 10.0, "scale": "log"},
+            "J": {"low": -1.5, "high": 1.5},
+            "B": {"low": -3.0, "high": 3.0},
+        },
+    },
 }
 
 
@@ -197,6 +217,12 @@ def test_sweep_points_validation():
         {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": 0.5}},
         {"mode": "grid", "parameters": {"J": {"low": 0, "high": 1, "count": "x"}}},
         {"mode": "grid", "parameters": {"J": {"high": 1, "count": 3}}},
+        # JSON booleans are not numbers
+        {"mode": "random", "count": True, "seed": 1, "parameters": {"J": interval}},
+        {"mode": "random", "count": 5, "seed": False, "parameters": {"J": interval}},
+        {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": {"low": False, "high": 1}}},
+        {"mode": "random", "count": 5, "seed": 1, "parameters": {"J": {"low": 0, "high": True}}},
+        {"mode": "grid", "parameters": {"J": {"low": 0, "high": 1, "count": True}}},
     ]:
         with pytest.raises(ConfigError):
             sweep_points(sweep)
@@ -216,20 +242,7 @@ def test_evaluate_sweep_point_records_errors():
 
 
 def test_run_sweep_smoke_and_determinism():
-    config = {
-        "model": {"preset": "nn"},
-        "parameters": {},
-        "sweep": {
-            "mode": "random",
-            "count": 10,
-            "seed": 4,
-            "parameters": {
-                "beta": {"low": 0.01, "high": 10.0, "scale": "log"},
-                "J": {"low": -1.5, "high": 1.5},
-                "B": {"low": -3.0, "high": 3.0},
-            },
-        },
-    }
+    config = NN_SWEEP
     names, rows = run_sweep(config, jobs=1)
     assert len(rows) == 10
     assert all(row["status"] == "ok" for row in rows)
@@ -275,3 +288,171 @@ def test_format_csv_nats_scaling():
     cells = text.splitlines()[1].split(",")
     assert float(cells[3]) == pytest.approx(math.log(2.0))  # C_mu scaled
     assert float(cells[2]) == 0.5  # log_lambda0 untouched
+
+
+def _row_signature(row: dict) -> list:
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in row.items()]
+
+
+def _result_metrics(result) -> dict:
+    return {
+        "log_lambda0": result.log_lambda0,
+        "C_mu": result.c_mu,
+        "h_mu": result.h_mu,
+        "E_mu": result.e_mu,
+        "E_paper": result.e_paper,
+        "C_mu_spin": result.c_mu_spin,
+        "h_mu_spin": result.h_mu_spin,
+        "E_spin": result.e_spin,
+        "n_states": result.n_states,
+        "n_classes": result.n_classes,
+        "max_residual": result.max_residual,
+    }
+
+
+def _grid(**axes) -> dict:
+    return {
+        "mode": "grid",
+        "parameters": {k: {"low": lo, "high": hi, "count": n} for k, (lo, hi, n) in axes.items()},
+    }
+
+
+def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
+    # every sweep crosses chunk boundaries, and many more with chunks of 7,
+    # so rows sit at every position of a chunk; error rows are mixed in
+    longer = 2 * analysis.CHUNK_SIZE + 37
+    fig1 = {
+        "beta": {"low": 1e-4, "high": 1e2, "scale": "log"},
+        "J": {"low": -1.5, "high": 1.5},
+        "B": {"low": -3.0, "high": 3.0},
+    }
+    configs = [
+        # Fig-1 NN points
+        ({"preset": "nn"}, {}, {"mode": "random", "count": longer, "seed": 7, "parameters": fig1}),
+        # NN ground states, with coexisting phases at J = 0 and B = 0
+        ({"preset": "nn"}, {"beta": "inf"}, _grid(J=(-1.5, 1.5, 23), B=(-3.0, 3.0, 25))),
+        # NNN ground states at zero field: two- and four-phase coexistence
+        (
+            {"preset": "nnn"},
+            {"beta": "inf", "B": 0.0},
+            _grid(J1=(-2.0, 2.0, 23), J2=(-2.0, 2.0, 23)),
+        ),
+        # the walker's edges are limit_parameter_error rows
+        ({"preset": "pbrw"}, {}, _grid(r=(0.0, 1.0, 23), p=(0.0, 1.0, 23))),
+        # eight-block chains, evaluated in stacks shorter than a chunk
+        (
+            {"preset": "custom", "range": 3},
+            {"field": 0.3, "couplings": {"product": [0.8, -0.4, 0.2]}},
+            {
+                "mode": "random",
+                "count": analysis.CHUNK_SIZE + 10,
+                "seed": 3,
+                "parameters": {"beta": {"low": 1e-2, "high": 5.0, "scale": "log"}},
+            },
+        ),
+    ]
+    statuses, class_counts = set(), set()
+    for model, base, sweep in configs:
+        config = {"model": model, "parameters": base, "sweep": sweep}
+        names, serial = run_sweep(config, jobs=1)
+        assert len(serial) > analysis.CHUNK_SIZE
+        expected = [_row_signature(row) for row in serial]
+        _, parallel = run_sweep(config, jobs=2)
+        assert [_row_signature(row) for row in parallel] == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "CHUNK_SIZE", 7)
+            _, small_chunks = run_sweep(config, jobs=1)
+        assert [_row_signature(row) for row in small_chunks] == expected
+        _, values = sweep_points(sweep)
+        for index, (point, row) in enumerate(zip(values.tolist(), expected)):
+            single = evaluate_sweep_point(model, base, dict(zip(names, point)))
+            assert _row_signature(single) == row
+            if index % 16 == 0 and single["status"] == "ok":
+                result = analyze(*hamiltonian_from_config(model, {**base, **single}))
+                metrics = _result_metrics(result)
+                assert _row_signature(metrics) == _row_signature({k: single[k] for k in metrics})
+        statuses.update(row["status"] for row in serial)
+        class_counts.update(row["n_classes"] for row in serial)
+    assert {"ok", "limit_parameter_error"} <= statuses
+    assert {1, 2, 4} <= class_counts
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_sweep_starts_at_most_one_worker_per_chunk(monkeypatch):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    interval = {"low": 0.1, "high": 1.0}
+
+    def sweep(count: int) -> dict:
+        return {
+            "model": {"preset": "nn"},
+            "parameters": {"B": 0.2, "J": 0.5},
+            "sweep": {
+                "mode": "random",
+                "count": count,
+                "seed": 1,
+                "parameters": {"beta": interval},
+            },
+        }
+
+    _, rows = run_sweep(sweep(100), jobs=64)  # one chunk: no pool at all
+    assert len(rows) == 100 and _RecordingPool.started == []
+    _, rows = run_sweep(sweep(2 * analysis.CHUNK_SIZE + 1), jobs=64)
+    assert len(rows) == 2 * analysis.CHUNK_SIZE + 1 and _RecordingPool.started == [3]
+    run_sweep(sweep(4 * analysis.CHUNK_SIZE), jobs=2)
+    assert _RecordingPool.started == [3, 2]
+
+
+def test_benchmark_tracer_installs_on_the_pipeline():
+    # bench/tracing.py wraps these names where they are; a rename would
+    # break the benchmark's traced runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [
+        (analysis, "build_transfer"),
+        (analysis, "solve_stochastic"),
+        (analysis, "block_machines"),
+        (analysis, "spin_machines"),
+        (analysis, "analyze"),
+        (analysis, "run_sweep"),
+        (markov, "local_characteristics"),
+        (markov, "consistency_residual"),
+        (markov, "class_decomposition"),
+        (Hamiltonian, "intra_energies"),
+        (Hamiltonian, "cross_energies"),
+    ]
+    originals = [owner.__dict__[attr] for owner, attr in wrapped]
+    tracer = tracing.Tracer()
+    tracer.install(spinmech)
+    try:
+        assert all(owner.__dict__[attr] is not o for (owner, attr), o in zip(wrapped, originals))
+        names, rows = analysis.run_sweep(NN_SWEEP, jobs=1)
+        result = spinmech.analyze(nn_ising(NNParams(J=E2BJ3, B=0.0, beta=1.0)), 1.0)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is o for (owner, attr), o in zip(wrapped, originals))
+    assert spinmech.analyze is analysis.analyze
+    assert all(row["status"] == "ok" for row in rows)
+    assert result.c_mu == pytest.approx(1.0, abs=1e-12)
+    (point,) = tracer.points
+    assert {"analysis.analyze", "hamiltonian.tables"} <= point.keys()
+    assert tracer.outside["analysis.sweep"]

@@ -74,6 +74,14 @@ def test_analyze_config_errors_exit_one(tmp_path, capsys):
         (custom, "parameters.field=abc"),
         (custom, 'parameters.couplings.product=["a", 1]'),
         (custom, "parameters.couplings=[[1, 2], [3]]"),
+        # JSON booleans are not numbers
+        (nn, "parameters.B=true"),
+        (nn, "parameters.J=false"),
+        (nn, "parameters.beta=true"),
+        (custom, "model.range=true"),
+        (custom, "model.alphabet=[false, true]"),
+        (custom, "parameters.field=false"),
+        (custom, "parameters.couplings.product=[true, 0.5]"),
     ]:
         assert main(["analyze", "-c", str(path), "--set", override]) == 1, override
         assert capsys.readouterr().err.startswith("config error:"), override

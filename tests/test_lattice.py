@@ -72,6 +72,8 @@ def test_roundtrip_exhaustive(theta, n):
     for index in range(space.size):
         assert space.encode(space.decode(index)) == index
         assert space.reversal[index] == space.encode(space.decode(index)[::-1])
+        shifts = [space.shift_append(index, s) for s in range(theta)]
+        assert space.shift_table[index].tolist() == shifts
     assert np.array_equal(space.reversal[space.reversal], np.arange(space.size))
 
 
