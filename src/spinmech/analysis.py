@@ -387,7 +387,10 @@ def sweep_points(sweep: dict) -> tuple[list[str], np.ndarray]:
             raise ConfigError("random sweep needs a positive count")
         if "seed" not in sweep:
             raise ConfigError("random sweep needs an explicit seed")
-        rng = np.random.default_rng(_number(sweep["seed"], "sweep.seed", int))
+        seed = _number(sweep["seed"], "sweep.seed", int)
+        if seed < 0:
+            raise ConfigError(f"sweep.seed must be non-negative, got {seed}")
+        rng = np.random.default_rng(seed)
         columns = []
         for name in names:
             spec = params[name]

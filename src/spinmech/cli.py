@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .analysis import (
     analyze,
     apply_overrides,
@@ -28,6 +30,15 @@ from .transfer import build_transfer
 from .validation import render_report, run_validation
 
 
+class _UsageError(Exception):
+    """A flag value outside its range: one line on stderr, exit code 1."""
+
+
+def _at_least(value: int, minimum: int, flag: str) -> None:
+    if value < minimum:
+        raise _UsageError(f"argument {flag}: must be at least {minimum}, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 1, not 2."""
 
@@ -42,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -161,6 +175,8 @@ def _cmd_machine(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _at_least(args.blocks, 1, "--blocks")
+    _at_least(args.seed, 0, "--seed")
     cfg = _prepared_config(args)
     hamiltonian, beta = hamiltonian_from_config(cfg.get("model"), cfg.get("parameters", {}))
     chain = solve_stochastic(build_transfer(hamiltonian, beta))
@@ -175,13 +191,15 @@ def _cmd_sample(args) -> int:
         f"# class: {args.class_index if args.class_index is not None else 'all'}",
         f"# config: {json.dumps(cfg, sort_keys=True)}",
     ]
-    symbols = "".join(alphabet.symbol(int(s)) for s in sequence)
+    lookup = np.array([alphabet.symbol(i) for i in range(alphabet.size)], dtype="S1")
+    symbols = lookup[sequence].tobytes().decode()
     wrapped = [symbols[i : i + 100] for i in range(0, len(symbols), 100)]
     _emit("\n".join(header + wrapped) + "\n", args.output)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    _at_least(args.seed, 0, "--seed")
     checks = run_validation(seed=args.seed, corrupt=args.corrupt)
     _emit(render_report(checks), args.output)
     return 0 if all(c.passed for c in checks) else 2

@@ -9,7 +9,7 @@ sub-chain into the whole-chain probability formula, which silently assumes
 the sub-chain is an isolated system.
 """
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,8 @@ from .transfer import TransferSystem, _perron_eigensystem
 
 ENUMERATION_GUARD = 10**7
 RNG_KIND = "pcg64"
-# Uniforms the sampler converts to Python floats at a time; bounds the
-# memory its step loop adds to the sampled arrays.
+# Steps the sampler scans at a time; bounds the memory each segment adds
+# to the sampled sequence.
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -298,7 +298,21 @@ def sample_sequence(
 
     The first block is drawn from the stationary distribution, later blocks
     from the matrix rows. Reducible chains need an explicit class choice.
+
+    A step sends state s to min(searchsorted(cum[s], u, "right"), S - 1),
+    with ``cum`` the row cumulative sums. That map depends only on which
+    interval of the merged breakpoints ``unique(cum)`` holds the uniform u,
+    so one lookup per step picks it from a table of at most S**2 + 1 maps,
+    built by the same float comparisons a step-by-step walk makes: the
+    sequence is that walk's, bit for bit. Steps run in segments of
+    ``_SAMPLE_CHUNK``, each scanned in three phases over chunks of about
+    sqrt(segment) / 4 steps: the chunks' maps are composed side by side,
+    the state is carried across the chunks, and the chunk walks are
+    replayed side by side. Memory beyond the output is the table and
+    O(segment * S) per segment.
     """
+    if n_blocks < 1:
+        raise InvalidChainError(f"n_blocks must be at least 1, got {n_blocks}")
     if chain.pi is not None and class_index is None:
         members = np.arange(chain.size)
         matrix = chain.matrix
@@ -310,23 +324,56 @@ def sample_sequence(
             )
         members, matrix, pi = restrict_to_class(chain, class_index)
 
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random(n_blocks)
-    # bisect_right on plain lists is searchsorted(side="right") without the
-    # per-call array overhead of the step loop
-    cum_rows = np.cumsum(matrix, axis=1).tolist()
     high = matrix.shape[0] - 1
-    state = min(int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right")), high)
-    states = np.empty(n_blocks, dtype=np.int64)
-    states[0] = state
+    cum = np.cumsum(matrix, axis=1)
+    breaks = np.unique(cum)
+    # maps[k] is the step map for uniforms in [breaks[k - 1], breaks[k]);
+    # below every breakpoint each row yields state 0
+    maps = np.zeros((breaks.size + 1, high + 1), dtype=np.min_scalar_type(high))
+    for s, row in enumerate(cum):
+        maps[1:, s] = np.minimum(np.searchsorted(row, breaks, side="right"), high)
+    digits = chain.space.digit_table[members].astype(np.int64)
+    out = np.empty((n_blocks, digits.shape[1]), dtype=np.int64)
+
+    rng = np.random.default_rng(seed)
+    state = min(int(np.searchsorted(np.cumsum(pi), rng.random(), side="right")), high)
+    out[0] = digits[state]
     for start in range(1, n_blocks, _SAMPLE_CHUNK):
-        chunk = []
-        for u in uniforms[start : start + _SAMPLE_CHUNK].tolist():
-            state = min(bisect_right(cum_rows[state], u), high)
-            chunk.append(state)
-        states[start : start + len(chunk)] = chunk
-    blocks = members[states]
-    return chain.space.digit_table[blocks].ravel().astype(np.int64)
+        uniforms = rng.random(min(_SAMPLE_CHUNK, n_blocks - start))
+        states = _scan(maps, np.searchsorted(breaks, uniforms, side="right"), state)
+        out[start : start + states.size] = digits[states]
+        state = int(states[-1])
+    return out.ravel()
+
+
+def _scan(maps: np.ndarray, steps: np.ndarray, state: int) -> np.ndarray:
+    """States of the walk from ``state`` through the maps ``maps[steps]``."""
+    size = maps.shape[1]
+    # short chunks: carrying the state costs less per chunk than the two
+    # numpy calls that compose and replay cost per step
+    width = math.isqrt(steps.size) // 4 + 1
+    n_chunks = -(-steps.size // width)
+    # offsets[j, c] locates step j of chunk c in the flat table; the padding
+    # steps at the end use map 0 and their states are dropped
+    offsets = np.zeros(n_chunks * width, dtype=np.intp)
+    np.multiply(steps, size, out=offsets[: steps.size])
+    offsets = offsets.reshape(n_chunks, width).T.copy()
+    flat = maps.ravel()
+
+    # each chunk's map, composed over every state at once
+    composed = np.arange(size)
+    for row in offsets:
+        composed = flat.take(row[:, np.newaxis] + composed)
+    # the state entering each chunk
+    entry = [state]
+    for chunk_map in composed[:-1].tolist():
+        entry.append(chunk_map[entry[-1]])
+    # each chunk's walk from its entry state
+    walk = np.empty((width, n_chunks), dtype=maps.dtype)
+    current = np.array(entry)
+    for row, states in zip(offsets, walk):
+        current = flat.take(row + current, out=states)
+    return walk.T.ravel()[: steps.size]
 
 
 def empirical_entropy_rate(
@@ -346,10 +393,7 @@ def empirical_entropy_rate(
         raise UndersampledError(
             f"need at least {10**5 * theta**n} symbols for n={n}, got {length}"
         )
-    powers = theta ** np.arange(n - 1, -1, -1)
-    windows = np.lib.stride_tricks.sliding_window_view(seq, n)[:-1] @ powers
-    nxt = seq[n:]
-    joint_codes = windows * theta + nxt
+    joint_codes = _joint_codes(seq, n, theta)
     counts = np.bincount(joint_codes, minlength=theta ** (n + 1)).astype(float)
     total = counts.sum()
     joint = counts / total
@@ -365,6 +409,19 @@ def empirical_entropy_rate(
     batches = surprisal[:usable].reshape(n_batches, -1).mean(axis=1)
     stderr = float(batches.std(ddof=1) / np.sqrt(n_batches))
     return EntropyEstimate(value=value, stderr=stderr, samples=int(total))
+
+
+def _joint_codes(seq: np.ndarray, n: int, theta: int) -> np.ndarray:
+    """Base-theta code of every (n + 1)-spin window: n spins and the next.
+
+    Horner over shifted slices; the codes are exact integers.
+    """
+    length = seq.size
+    codes = seq[: length - n].copy()
+    for k in range(1, n + 1):
+        codes *= theta
+        codes += seq[k : length - n + k]
+    return codes
 
 
 def _marginal(probs: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

@@ -137,6 +137,8 @@ def test_sweep_without_seed_fails(tmp_path):
         )
     )
     assert main(["sweep", "-c", str(cfg)]) == 1
+    # a negative seed is a config error, not a traceback
+    assert main(["sweep", "-c", str(cfg), "--seed", "-1"]) == 1
 
 
 def test_machine_subcommand_block_and_spin(nn_config, tmp_path):
@@ -218,6 +220,50 @@ def test_sample_subcommand_deterministic(nn_config, tmp_path):
     assert any("seed: 11" in line for line in header)
     assert len(body) == 300
     assert set(body) <= {"0", "1"}
+
+
+def test_sample_renders_alphabet_symbols(tmp_path):
+    cfg = tmp_path / "spin1.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": {"preset": "custom", "range": 1, "alphabet": [-1, 0, 1]},
+                "parameters": {"beta": 1.0, "field": 0.2, "couplings": {"product": [0.3]}},
+            }
+        )
+    )
+    out = tmp_path / "s.txt"
+    assert main(["sample", "-c", str(cfg), "--blocks", "250", "--seed", "5", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert [len(line) for line in body] == [100, 100, 50]
+    assert set("".join(body)) == {"0", "1", "2"}
+
+
+def test_sample_beyond_base_36_fails(tmp_path, capsys):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": {"preset": "custom", "range": 1, "alphabet": list(range(37))},
+                "parameters": {"beta": 0.0, "field": 0.0, "couplings": {"product": [0.0]}},
+            }
+        )
+    )
+    assert main(["sample", "-c", str(cfg), "--blocks", "10", "--seed", "1"]) == 2
+    assert "beyond base 36" in capsys.readouterr().err
+
+
+def test_bad_sample_and_validate_values_exit_one(nn_config, capsys):
+    for command in (
+        ["sample", "-c", str(nn_config), "--blocks", "0", "--seed", "1"],
+        ["sample", "-c", str(nn_config), "--blocks", "-3", "--seed", "1"],
+        ["sample", "-c", str(nn_config), "--blocks", "10", "--seed", "-1"],
+        ["validate", "--seed", "-1"],
+    ):
+        assert main(command) == 1, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: argument --" in err, command
 
 
 def test_usage_errors_exit_one(nn_config):

@@ -1,14 +1,20 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spinmech.errors import (
     EnumerationTooLargeError,
+    InvalidChainError,
     ReducibleChainError,
     UndersampledError,
 )
 from spinmech.machine import spin_machines
 from spinmech.markov import local_characteristics, restrict_to_class, solve_stochastic
 from spinmech import oracle
+from spinmech.hamiltonian import Hamiltonian
+from spinmech.lattice import BINARY, BlockSpace
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
 from spinmech.oracle import (
     conditional_from_enumeration,
@@ -157,14 +163,46 @@ def _reference_sample(chain, n_blocks, seed, class_index=None):
     return chain.space.digit_table[members[states]].ravel().astype(np.int64)
 
 
+def _product_chain(couplings, field=0.05, beta=1.0):
+    model = Hamiltonian.pair_product(BlockSpace(BINARY, len(couplings)), field, list(couplings))
+    return solve_stochastic(build_transfer(model, beta))
+
+
 def test_sampling_matches_reference_loop(monkeypatch):
     # small chunks so that the sequences cross many chunk boundaries
-    monkeypatch.setattr(oracle, "_SAMPLE_CHUNK", 1000)
+    chunk = 1000
+    monkeypatch.setattr(oracle, "_SAMPLE_CHUNK", chunk)
     nn = nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0))
     nnn = nnn_ising(NNNParams(J1=0.8, J2=-0.5, B=0.7, beta=0.9))
+    nnn_chain = solve_stochastic(build_transfer(nnn, 0.9))
     chains = [
         (solve_stochastic(build_transfer(nn, 1.0)), None),
-        (solve_stochastic(build_transfer(nnn, 0.9)), None),
+        (nnn_chain, None),
+        (_product_chain((0.4, -0.3, 0.2)), None),  # S = 8
+        (_product_chain((0.4, -0.3, 0.2, 0.1, -0.1, 0.05)), None),  # S = 64
+        # zero entries: breakpoints repeat within and across rows
+        (
+            replace(
+                nnn_chain,
+                matrix=np.array(
+                    [
+                        [0.5, 0.0, 0.0, 0.5],
+                        [0.0, 0.0, 1.0, 0.0],
+                        [0.25, 0.25, 0.0, 0.5],
+                        [0.0, 0.5, 0.5, 0.0],
+                    ]
+                ),
+            ),
+            None,
+        ),
+        # a row summing to 0.9: uniforms above it clamp to the last state
+        (
+            replace(
+                nnn_chain,
+                matrix=np.vstack([[0.2, 0.2, 0.2, 0.3], nnn_chain.matrix[1:]]),
+            ),
+            None,
+        ),
     ]
     # a period-four ground state: two recurrent classes, sampled one at a time
     beta = GROUND_STATE_BETA
@@ -172,11 +210,33 @@ def test_sampling_matches_reference_loop(monkeypatch):
         build_transfer(nnn_ising(NNNParams(J1=1.0, J2=-1.0, B=0.0, beta=beta)), beta)
     )
     chains += [(frozen, index) for index in range(len(frozen.classes))]
+    lengths = (1, 2, chunk, chunk + 1, 3 * chunk + 1, 20_001)
     for chain, class_index in chains:
-        for n_blocks, seed in ((1, 3), (20_001, 3), (20_001, 2**32 - 1)):
-            got = sample_sequence(chain, n_blocks, seed=seed, class_index=class_index)
-            want = _reference_sample(chain, n_blocks, seed, class_index)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for n_blocks in lengths:
+            for seed in (3, 2**32 - 1):
+                got = sample_sequence(chain, n_blocks, seed=seed, class_index=class_index)
+                want = _reference_sample(chain, n_blocks, seed, class_index)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_sampling_memory_stays_near_output_size():
+    # the output plus one segment's temporaries; the step loop this scan
+    # replaced peaked at 5x the output
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0)), 1.0))
+    tracemalloc.start()
+    try:
+        sequence = sample_sequence(chain, 10**6, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * sequence.nbytes
+
+
+def test_sampling_rejects_empty_sequences():
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.0, beta=1.0)), 1.0))
+    for n_blocks in (0, -3):
+        with pytest.raises(InvalidChainError):
+            sample_sequence(chain, n_blocks, seed=1)
 
 
 def test_sampling_reducible_requires_class():
@@ -218,6 +278,24 @@ def test_empirical_entropy_rate_markov_chain():
     analytic = spin_machines(chain).h_mu
     assert abs(estimate.value - analytic) < 0.01
     assert abs(estimate.value - analytic) < 3 * estimate.stderr + 1e-4
+
+
+def test_window_codes_match_strided_product(monkeypatch):
+    # the windowed int64 product the Horner codes replaced
+    def strided(seq, n, theta):
+        powers = theta ** np.arange(n - 1, -1, -1)
+        windows = np.lib.stride_tricks.sliding_window_view(seq, n)[:-1] @ powers
+        return windows * theta + seq[n:]
+
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0)), 1.0))
+    seq = sample_sequence(chain, 2 * 10**6, seed=8)
+    for n in (1, 2, 3, 4):
+        got = oracle._joint_codes(seq, n, 2)
+        want = strided(seq, n, 2)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    estimates = [empirical_entropy_rate(seq, n) for n in (1, 2, 3, 4)]
+    monkeypatch.setattr(oracle, "_joint_codes", strided)
+    assert estimates == [empirical_entropy_rate(seq, n) for n in (1, 2, 3, 4)]
 
 
 def test_empirical_entropy_rate_undersampled():
