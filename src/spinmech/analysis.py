@@ -495,7 +495,7 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     """Evaluate every sweep point; returns (parameter names, rows in order).
 
     Points go in chunks of CHUNK_SIZE; with ``jobs`` > 1 whole chunks go to
-    a pool of at most one process per chunk.
+    a pool of at most one process per chunk. ``jobs`` < 1 is a ConfigError.
     """
     model = config.get("model")
     if model is None:
@@ -509,6 +509,8 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     args = (repeat(model), repeat(base_parameters), repeat(names), chunks)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -157,6 +157,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None:
+        _at_least(args.jobs, 1, "--jobs")
     cfg = _prepared_config(args)
     if args.seed is not None:
         cfg.setdefault("sweep", {})["seed"] = args.seed

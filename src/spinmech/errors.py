@@ -18,9 +18,9 @@ class NumericDomainError(SpinmechError):
 
 
 class ConvergenceError(SpinmechError):
-    """Iterative eigensolver exhausted its budget.
+    """The Perron solve did not certify: its relative residual is too large.
 
-    Carries the last relative residual in ``residual``.
+    Carries that relative residual in ``residual``.
     """
 
     def __init__(self, message: str, residual: float):

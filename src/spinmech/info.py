@@ -20,23 +20,26 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
             # all -inf (empty support) or an overflow already present
             return m_f
         return m_f + float(np.log(np.sum(np.exp(a - m_f))))
-    safe = np.where(np.isfinite(m), m, 0.0)
+    finite = np.isfinite(m)
+    if finite.all():
+        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+    safe = np.where(finite, m, 0.0)
     out = np.log(np.sum(np.exp(a - safe), axis=axis)) + np.squeeze(safe, axis=axis)
     # slices that were all -inf must stay -inf, not nan
-    bad = ~np.isfinite(np.squeeze(m, axis=axis))
-    if np.any(bad):
-        out = np.where(bad, np.squeeze(m, axis=axis), out)
-    return out
+    return np.where(np.squeeze(finite, axis=axis), out, np.squeeze(m, axis=axis))
 
 
 def log_matvec(log_mat: np.ndarray, log_vec: np.ndarray) -> np.ndarray:
-    """Log-domain matrix @ vector: returns log(exp(log_mat) @ exp(log_vec))."""
-    return logsumexp(log_mat + log_vec[np.newaxis, :], axis=1)
+    """Log-domain matrix @ vector: returns log(exp(log_mat) @ exp(log_vec)).
+
+    Leading axes are a stack: (..., S, S) matrices times (..., S) vectors.
+    """
+    return logsumexp(log_mat + log_vec[..., np.newaxis, :], axis=-1)
 
 
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Log-domain matrix product."""
-    return logsumexp(log_a[:, :, np.newaxis] + log_b[np.newaxis, :, :], axis=1)
+    """Log-domain matrix product, of (..., S, S) stacks."""
+    return logsumexp(log_a[..., :, :, np.newaxis] + log_b[..., np.newaxis, :, :], axis=-2)
 
 
 def log_matrix_power(log_mat: np.ndarray, n: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     EnumerationTooLargeError,
@@ -159,6 +158,10 @@ def quadratic_system_solve(
     transfer route enters; the inputs are the conditionals alone.
     Reference implementation for small block spaces only.
     """
+    # imported here: scipy.optimize doubles the time and memory that
+    # importing the package takes, and nothing else uses it
+    from scipy.optimize import least_squares
+
     interior = lc.interior
     size = interior.shape[0]
     if size > max_size:

@@ -6,28 +6,31 @@ matrix entries reproduce whole-chain Boltzmann weights without overflow even
 deep into the low-temperature regime.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericDomainError, raise_first, record_failures
 from .hamiltonian import Hamiltonian
-from .info import log_matrix_power, log_matvec, logsumexp
+from .info import log_matmul, log_matrix_power, log_matvec, logsumexp
 from .lattice import BlockSpace
 
 # Finite stand-in for the zero-temperature limit; resolves energy gaps of
 # 1e-2 without leaving the representable log-domain.
 GROUND_STATE_BETA = 1.0e3
+# Largest relative Perron residual a certified eigenpair may carry.
+PERRON_TOL = 1e-12
 
-# Dense eigensolve below this size, power iteration above (per design).
+# Dense eigensolve up to this size, log-domain refinement from uniform above.
 _DENSE_LIMIT = 64
-_POWER_BUDGET = 100_000
-_POWER_TOL = 1e-14
-# Polish small eigenvector entries in the log domain once the entry spread
+# Refine small eigenvector entries in the log domain once the entry spread
 # passes e**10: dense solvers only deliver absolute accuracy, so entries
 # below ~1e-5 of the largest already carry log errors above 1e-11.
-_POLISH_SPREAD = 10.0
+_REFINE_SPREAD = 10.0
+# Converged: a step of V moves no log entry beyond this many rounding widths.
+_ROUNDING_WIDTHS = 16.0
+# 2**60 steps resolve every mode whose residual that width can see.
+_MAX_SQUARINGS = 60
 # Dominant eigenvalues closer than this are one degenerate cluster: their
 # splitting sits below what floating point can resolve, which happens when
 # several ordered phases coexist in the zero-temperature limit.
@@ -127,6 +130,13 @@ def transfer_stack(
     log_v[~finite] = 0.0
 
     log_lambda0, log_right, residual = _perron_stack(log_v, errors)
+    record_failures(
+        errors,
+        ~(residual <= PERRON_TOL),
+        lambda p: ConvergenceError(
+            f"Perron residual {residual[p]:.3e} exceeds {PERRON_TOL:.1e}", float(residual[p])
+        ),
+    )
 
     # Pair couplings are symmetric in the spins, so a two-block window read
     # backwards keeps its energy: V^T = R V R with R the block reversal.
@@ -226,22 +236,18 @@ def _perron_stack(
         if size <= _DENSE_LIMIT:
             lam, vec = _dense_dominant(w, cluster_tol, errors)
         else:
-            lam, vec = _power_dominant(w, errors)
+            lam, vec = np.ones(n_points), np.full((n_points, size), 1.0 / size)
         log_lambda0 = chi + np.log(lam)
-        log_right = potentials + _log_vector(vec)
-        for p in np.flatnonzero(_needs_polish(log_right)).tolist():
-            if errors[p] is not None:
-                continue
-            polished = _log_polish(log_v[p], log_right[p])
-            # Rayleigh-type update keeps log(lambda0) accurate when entries
-            # are graded far beyond linear precision.
-            log_lambda0[p] = float(
-                logsumexp(log_matvec(log_v[p], polished)) - logsumexp(polished)
-            )
-            lam[p] = math.exp(log_lambda0[p] - chi[p])
-            shifted = polished - potentials[p]
-            vec[p] = np.exp(shifted - np.max(shifted))
-            log_right[p] = polished
+        with np.errstate(divide="ignore"):
+            log_right = potentials + np.log(vec)
+        # -inf entries make the spread infinite, which also refines
+        refine = (size > _DENSE_LIMIT) | ~(np.ptp(log_right, axis=1) <= _REFINE_SPREAD)
+        refine &= np.array([e is None for e in errors])
+        if refine.any():
+            log_lambda0[refine], log_right[refine] = _log_refine(log_v[refine], log_right[refine])
+            lam[refine] = np.exp(log_lambda0[refine] - chi[refine])
+            shifted = log_right[refine] - potentials[refine]
+            vec[refine] = np.exp(shifted - shifted.max(axis=1, keepdims=True))
 
     residual = _relative_residual(w, lam, vec)
     return log_lambda0, log_right - logsumexp(log_right, axis=1)[:, None], residual
@@ -347,68 +353,61 @@ def _cluster_projection(
     return vec / total
 
 
-def _power_dominant(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Power iteration with a diagonal shift to break modulus ties, per matrix."""
-    n_points, size = w.shape[:2]
-    lam = np.ones(n_points)
-    vec = np.full((n_points, size), 1.0 / size)
-    for p in range(n_points):
-        shifted = w[p] + np.eye(size)
-        x = np.full(size, 1.0 / size)
-        lam_prev = 0.0
-        for _ in range(_POWER_BUDGET):
-            y = shifted @ x
-            norm = y.sum()
-            x = y / norm
-            if abs(norm - lam_prev) <= _POWER_TOL * abs(norm):
-                lam[p], vec[p] = norm - 1.0, x
-                break
-            lam_prev = norm
-        else:
-            if errors[p] is None:
-                errors[p] = ConvergenceError(
-                    f"power iteration did not converge in {_POWER_BUDGET} steps",
-                    float(_relative_residual(w[p][None], np.array([lam_prev - 1.0]), x[None])[0]),
-                )
-    return lam, vec
-
-
 def _relative_residual(w: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     err = np.max(np.abs((w * vec[:, np.newaxis, :]).sum(axis=2) - lam[:, np.newaxis] * vec), axis=1)
     return err / (np.abs(lam) * np.max(np.abs(vec), axis=1))
 
 
-def _log_vector(vec: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(vec)
+def _log_refine(log_v: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log Perron roots and vectors of a (Q, S, S) stack, refined from (Q, S)
+    log start vectors.
 
-
-def _needs_polish(log_x: np.ndarray) -> np.ndarray:
-    # -inf entries make the spread infinite (or nan), which also polishes
-    spread = log_x.max(axis=1) - log_x.min(axis=1)
-    return ~(spread <= _POLISH_SPREAD)
-
-
-def _log_polish(
-    log_v: np.ndarray, log_x: np.ndarray, budget: int = 10_000, tol: float = 1e-14
-) -> np.ndarray:
-    """Restore relative accuracy of tiny eigenvector entries.
-
-    Repeated log-domain multiplication feeds the well-resolved dominant
-    entries into the graded tail. Starting from the full phase cluster the
-    tied weights cannot drift (their cross-feed underflows), fast error
-    components contract geometrically until the iteration is stationary,
-    and a stalled slow mode can only be a phase-mixture direction whose
-    effect sits below linear resolution anyway.
+    Steps x <- V x restore tiny entries of a dense start in one step. A step
+    that fails to halve the change squares the operator, first V / lambda + I,
+    whose shift damps periodic modes too: k squarings contract a slow mode
+    of ratio rho as rho**(2**k). A point stops once a step of V moves it by
+    at most the rounding width, which leaves the mixture of a tied phase
+    cluster as it is. Log products subtract nothing, so entries keep their
+    relative accuracy, and each point's arithmetic uses its own slices. The
+    root is sum(V x) / sum(x), accurate however far the entries are graded.
     """
-    log_x = log_x - logsumexp(log_x)
-    for _ in range(budget):
-        advanced = log_matvec(log_v, log_x)
-        advanced = advanced - logsumexp(advanced)
-        finite = np.isfinite(log_x) & np.isfinite(advanced)
-        delta = float(np.max(np.abs(advanced[finite] - log_x[finite]), initial=0.0))
-        moved_support = np.any(np.isfinite(advanced) != np.isfinite(log_x))
-        log_x = advanced
-        if delta <= tol and not moved_support:
-            break
-    return log_x
+    n_points, size = log_x.shape
+    out = np.empty_like(log_x)
+    # state of the points still running, compacted as points finish
+    index, v, x = np.arange(n_points), log_v, log_x - log_x.max(axis=1, keepdims=True)
+    root = logsumexp(log_matvec(v, x), axis=1) - logsumexp(x, axis=1)
+    op = np.logaddexp(v - root[:, None, None], np.where(np.eye(size, dtype=bool), 0.0, -np.inf))
+    rounding = _ROUNDING_WIDTHS * np.finfo(float).eps
+    width = rounding * np.abs(v).max(axis=(1, 2))
+    change = np.full(n_points, np.inf)
+    squarings = np.zeros(n_points, dtype=int)
+    while index.size:
+        # one call steps every point by V, which moves it by its residual,
+        # and the points with a squared operator by that operator too
+        lead = np.flatnonzero(squarings)
+        x_all = np.concatenate([x, x[lead]])
+        raw = log_matvec(np.concatenate([v, op[lead]]), x_all)
+        steps = raw - raw.max(axis=1, keepdims=True)
+        # entries that stay -inf did not move; one that leaves -inf moved by inf
+        moves = np.where(steps == x_all, 0.0, np.abs(steps - x_all)).max(axis=1)
+        n_run = index.size
+        x, moved = steps[:n_run], moves[:n_run].copy()
+        settled = moved <= width + rounding * np.abs(x).max(axis=1)
+        # a squared operator carries the point while it still moves
+        moved[lead] = moves[n_run:]
+        x[lead[~settled[lead]]] = steps[n_run:][~settled[lead]]
+        stalled = ~settled & ~(moved <= 0.5 * change)
+        exhausted = stalled & (squarings >= _MAX_SQUARINGS)
+        square = np.flatnonzero(stalled & ~exhausted)
+        if square.size:
+            op_sq = log_matmul(op[square], op[square])
+            op[square] = op_sq - op_sq.max(axis=(1, 2), keepdims=True)
+            squarings[square] += 1
+        change = moved
+        done = settled | exhausted
+        if done.any():
+            out[index[done]] = x[done]
+            run = ~done
+            index, v, op, x = index[run], v[run], op[run], x[run]
+            width, change, squarings = width[run], change[run], squarings[run]
+    return logsumexp(log_matvec(log_v, out), axis=1) - logsumexp(out, axis=1), out

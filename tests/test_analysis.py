@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spinmech
-from spinmech import analysis, markov
+from spinmech import analysis, markov, transfer
 from spinmech.analysis import (
     analyze,
     apply_overrides,
@@ -326,6 +326,12 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
         "J": {"low": -1.5, "high": 1.5},
         "B": {"low": -3.0, "high": 3.0},
     }
+    fig1_nnn = {
+        "beta": fig1["beta"],
+        "J1": fig1["J"],
+        "J2": fig1["J"],
+        "B": fig1["B"],
+    }
     configs = [
         # Fig-1 NN points
         ({"preset": "nn"}, {}, {"mode": "random", "count": longer, "seed": 7, "parameters": fig1}),
@@ -350,11 +356,32 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
                 "parameters": {"beta": {"low": 1e-2, "high": 5.0, "scale": "log"}},
             },
         ),
+        # the last two refine several Perron vectors per stack, some of
+        # them by squaring: Fig-1 NNN points, and NNN ground states in a field
+        (
+            {"preset": "nnn"},
+            {},
+            {"mode": "random", "count": longer, "seed": 1, "parameters": fig1_nnn},
+        ),
+        (
+            {"preset": "nnn"},
+            {"beta": "inf", "B": 0.5},
+            _grid(J1=(-2.0, 2.0, 23), J2=(-2.0, 2.0, 23)),
+        ),
     ]
-    statuses, class_counts = set(), set()
+    statuses, class_counts, refined = set(), set(), []
+    refine = transfer._log_refine
+
+    def recording_refine(log_v, log_x):
+        refined[-1] = max(refined[-1], len(log_x))
+        return refine(log_v, log_x)
+
     for model, base, sweep in configs:
         config = {"model": model, "parameters": base, "sweep": sweep}
-        names, serial = run_sweep(config, jobs=1)
+        refined.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "_log_refine", recording_refine)
+            names, serial = run_sweep(config, jobs=1)
         assert len(serial) > analysis.CHUNK_SIZE
         expected = [_row_signature(row) for row in serial]
         _, parallel = run_sweep(config, jobs=2)
@@ -375,6 +402,7 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
         class_counts.update(row["n_classes"] for row in serial)
     assert {"ok", "limit_parameter_error"} <= statuses
     assert {1, 2, 4} <= class_counts
+    assert min(refined[-2:]) >= 2
 
 
 class _RecordingPool:
@@ -418,6 +446,9 @@ def test_run_sweep_starts_at_most_one_worker_per_chunk(monkeypatch):
     assert len(rows) == 2 * analysis.CHUNK_SIZE + 1 and _RecordingPool.started == [3]
     run_sweep(sweep(4 * analysis.CHUNK_SIZE), jobs=2)
     assert _RecordingPool.started == [3, 2]
+    for jobs in (0, -2):
+        with pytest.raises(ConfigError):
+            run_sweep(sweep(10), jobs=jobs)
 
 
 def test_benchmark_tracer_installs_on_the_pipeline():

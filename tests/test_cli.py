@@ -260,6 +260,8 @@ def test_bad_sample_and_validate_values_exit_one(nn_config, capsys):
         ["sample", "-c", str(nn_config), "--blocks", "-3", "--seed", "1"],
         ["sample", "-c", str(nn_config), "--blocks", "10", "--seed", "-1"],
         ["validate", "--seed", "-1"],
+        ["sweep", "-c", str(nn_config), "--jobs", "0"],
+        ["sweep", "-c", str(nn_config), "--jobs", "-2"],
     ):
         assert main(command) == 1, command
         err = capsys.readouterr().err

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spinmech
 from spinmech.errors import (
     EnumerationTooLargeError,
     InvalidChainError,
@@ -301,3 +305,15 @@ def test_window_codes_match_strided_product(monkeypatch):
 def test_empirical_entropy_rate_undersampled():
     with pytest.raises(UndersampledError):
         empirical_entropy_rate(np.zeros(1000, dtype=int), 1, theta=2)
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the quadratic solver needs scipy.optimize, and it imports it on use
+    src = os.path.dirname(os.path.dirname(spinmech.__file__))
+    code = "import sys, spinmech; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

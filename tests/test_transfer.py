@@ -1,11 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 
+from spinmech.analysis import analyze
+from spinmech.errors import SpinmechError
 from spinmech.hamiltonian import Hamiltonian
 from spinmech.info import log_matvec
 from spinmech.lattice import BINARY, BlockSpace, SpinAlphabet
-from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
+from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ground_state_phase, nnn_ising
 from spinmech.transfer import (
+    GROUND_STATE_BETA,
     asymptotic_log_partition,
     build_transfer,
     partition_function,
@@ -79,7 +83,7 @@ def test_left_vector_is_block_reversal_of_right(model, beta):
 def test_perron_residual_small_on_nnn_instances():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        beta = float(np.exp(rng.uniform(np.log(0.01), np.log(20))))
+        beta = float(np.exp(rng.uniform(np.log(0.01), np.log(GROUND_STATE_BETA))))
         model = nnn_ising(
             NNNParams(
                 J1=rng.uniform(-1.5, 1.5),
@@ -90,6 +94,60 @@ def test_perron_residual_small_on_nnn_instances():
         )
         ts = build_transfer(model, beta)
         assert ts.perron_residual <= 1e-12
+
+
+def _perron_root_mp(log_v: np.ndarray) -> float:
+    # the working precision spans the entries' dynamic range plus guard
+    # digits, so the smallest entries still count next to the largest
+    with mpmath.workdps(60 + int(np.ptp(log_v) / np.log(10.0))):
+        v = mpmath.matrix([[mpmath.exp(mpmath.mpf(float(e))) for e in row] for row in log_v])
+        eigvals = mpmath.eig(v, left=False, right=False)
+        return float(mpmath.log(max(mpmath.re(e) for e in eigvals)))
+
+
+@pytest.mark.parametrize(
+    "beta,j1,j2,b",
+    [
+        (10.946848966924051, -0.9820368477181428, 0.38648716039606934, 1.575824510358899),
+        (32.074030882273675, -1.2147745465710615, 0.026962915685385003, 1.9841739497239619),
+        (61.00339629753518, -0.46827835995660694, 0.06657988677912785, -0.5361064415311954),
+        (4.834428131461872, -1.442543219834986, 1.476629202597513, -2.6281037792634105),
+        (98.46413303034268, -1.4599482126402354, -0.29367314957596546, -1.432160184262166),
+    ],
+    ids=["draw-44", "draw-137", "draw-466", "draw-485", "draw-875"],
+)
+def test_nearly_periodic_nnn_points_are_certified_or_fail(beta, j1, j2, b):
+    # points of the seed-1 Fig-1 NNN draw whose Perron pair once came out
+    # wrong with no error: each is now right, or fails with a typed error
+    model = nnn_ising(NNNParams(J1=j1, J2=j2, B=b, beta=beta))
+    try:
+        result = analyze(model, beta)
+    except SpinmechError:
+        return
+    assert abs(result.log_lambda0 - _perron_root_mp(build_transfer(model, beta).log_v)) <= 1e-9
+    # per class, h_mu ln2 = log(lambda0) + beta <x + y> for any P = V r / (lambda r)
+    x, y, chain = model.intra_energies, model.cross_energies, result.chain
+    for members, pi, machine in zip(chain.classes, chain.class_pis, result.block.machines):
+        sub = chain.matrix[np.ix_(members, members)]
+        sub = sub / sub.sum(axis=1, keepdims=True)
+        energy = np.sum(pi[:, None] * sub * (x[members][:, None] + y[np.ix_(members, members)]))
+        assert abs(machine.h_mu * np.log(2.0) - result.log_lambda0 - beta * energy) <= 1e-9
+    assert abs(result.h_mu - 2.0 * result.h_mu_spin) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "phase,j1,j2,b",
+    [
+        ("P2", -1.05, -0.13, 1.43),
+        ("P3", -0.7660197129220996, -1.0147677318958734, -2.0579665582229705),
+    ],
+)
+def test_periodic_ground_states_reach_a_certified_perron_pair(phase, j1, j2, b):
+    # nearly periodic chains on which ten thousand plain power steps stall
+    params = NNNParams(J1=j1, J2=j2, B=b, beta=GROUND_STATE_BETA)
+    assert nnn_ground_state_phase(params) == phase
+    ts = build_transfer(nnn_ising(params), GROUND_STATE_BETA)
+    assert ts.perron_residual <= 1e-12
 
 
 def test_perron_projection_limit():
