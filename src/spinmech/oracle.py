@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EnumerationTooLargeError,
+    InvalidBlockError,
     InvalidChainError,
     QuadraticSolveError,
     ReducibleChainError,
@@ -301,21 +302,26 @@ def sample_sequence(
 
     The first block is drawn from the stationary distribution, later blocks
     from the matrix rows. Reducible chains need an explicit class choice.
+    ``seed`` must be a non-negative integer; anything else raises
+    InvalidChainError, since no other seed reproduces its sequence.
 
     A step sends state s to min(searchsorted(cum[s], u, "right"), S - 1),
     with ``cum`` the row cumulative sums. That map depends only on which
     interval of the merged breakpoints ``unique(cum)`` holds the uniform u,
     so one lookup per step picks it from a table of at most S**2 + 1 maps,
     built by the same float comparisons a step-by-step walk makes: the
-    sequence is that walk's, bit for bit. Steps run in segments of
-    ``_SAMPLE_CHUNK``, each scanned in three phases over chunks of about
-    sqrt(segment) / 4 steps: the chunks' maps are composed side by side,
-    the state is carried across the chunks, and the chunk walks are
-    replayed side by side. Memory beyond the output is the table and
-    O(segment * S) per segment.
+    sequence is that walk's, bit for bit. The lookup goes through a guide
+    table of G equal bins of [0, 1), G a power of two so that floor(u * G)
+    is exact: a bin with no breakpoint strictly inside it names its map
+    outright, and only uniforms in the other bins are searched. Steps run
+    in segments of ``_SAMPLE_CHUNK``, each scanned over chunks of about
+    sqrt(segment) / 4 steps (see ``_scan``). Memory beyond the output is
+    the two tables and O(segment * S) per segment.
     """
     if n_blocks < 1:
         raise InvalidChainError(f"n_blocks must be at least 1, got {n_blocks}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidChainError(f"seed must be a non-negative integer, got {seed!r}")
     if chain.pi is not None and class_index is None:
         members = np.arange(chain.size)
         matrix = chain.matrix
@@ -335,6 +341,18 @@ def sample_sequence(
     maps = np.zeros((breaks.size + 1, high + 1), dtype=np.min_scalar_type(high))
     for s, row in enumerate(cum):
         maps[1:, s] = np.minimum(np.searchsorted(row, breaks, side="right"), high)
+    # guide[b] is the flat offset of the map of every uniform in bin b, or
+    # -1 where a breakpoint splits the bin; about 1/32 of the bins at most.
+    # Scaled by the power of two, breakpoints compare with the bin edges
+    # exactly: those at or below edge b have ceil(scaled) <= b, and one
+    # strictly inside bin b has floor(scaled) == b and is no integer.
+    bins = 1 << (32 * breaks.size - 1).bit_length()
+    scaled = breaks * bins
+    lowest = np.minimum(np.ceil(scaled), bins).astype(np.intp)
+    below = np.bincount(lowest, minlength=bins + 1).cumsum()[:bins]
+    split = np.zeros(bins, dtype=bool)
+    split[scaled[(scaled < bins) & (scaled != np.floor(scaled))].astype(np.intp)] = True
+    guide = np.where(split, -1, below * (high + 1))
     digits = chain.space.digit_table[members].astype(np.int64)
     out = np.empty((n_blocks, digits.shape[1]), dtype=np.int64)
 
@@ -342,41 +360,68 @@ def sample_sequence(
     state = min(int(np.searchsorted(np.cumsum(pi), rng.random(), side="right")), high)
     out[0] = digits[state]
     for start in range(1, n_blocks, _SAMPLE_CHUNK):
-        uniforms = rng.random(min(_SAMPLE_CHUNK, n_blocks - start))
-        states = _scan(maps, np.searchsorted(breaks, uniforms, side="right"), state)
-        out[start : start + states.size] = digits[states]
+        count = min(_SAMPLE_CHUNK, n_blocks - start)
+        # short chunks: carrying the state costs less per chunk than the two
+        # numpy calls that compose and replay cost per step
+        width = math.isqrt(count) // 4 + 1
+        n_chunks = -(-count // width)
+        # the padding steps at the end draw u = 0; their states are dropped
+        uniforms = np.zeros(n_chunks * width)
+        rng.random(out=uniforms[:count])
+        # offsets[j, c] locates the map of step j of chunk c in the flat table
+        by_step = uniforms.reshape(n_chunks, width).T
+        offsets = np.empty((width, n_chunks), dtype=np.intp)
+        np.multiply(by_step, bins, out=offsets, casting="unsafe")
+        offsets = guide.take(offsets)
+        searched = offsets < 0
+        if searched.any():
+            found = np.searchsorted(breaks, by_step[searched], side="right")
+            offsets[searched] = found * (high + 1)
+        states = _scan(maps, offsets, state).T.ravel()[:count]
+        # every index is in range; "clip" writes to out without the copy
+        # that the default "raise" makes first
+        np.take(digits, states, axis=0, out=out[start : start + count], mode="clip")
         state = int(states[-1])
     return out.ravel()
 
 
-def _scan(maps: np.ndarray, steps: np.ndarray, state: int) -> np.ndarray:
-    """States of the walk from ``state`` through the maps ``maps[steps]``."""
-    size = maps.shape[1]
-    # short chunks: carrying the state costs less per chunk than the two
-    # numpy calls that compose and replay cost per step
-    width = math.isqrt(steps.size) // 4 + 1
-    n_chunks = -(-steps.size // width)
-    # offsets[j, c] locates step j of chunk c in the flat table; the padding
-    # steps at the end use map 0 and their states are dropped
-    offsets = np.zeros(n_chunks * width, dtype=np.intp)
-    np.multiply(steps, size, out=offsets[: steps.size])
-    offsets = offsets.reshape(n_chunks, width).T.copy()
-    flat = maps.ravel()
+def _scan(maps: np.ndarray, offsets: np.ndarray, state: int) -> np.ndarray:
+    """States of the walk from ``state`` through the steps ``offsets``.
 
-    # each chunk's map, composed over every state at once
-    composed = np.arange(size)
-    for row in offsets:
+    ``offsets[j, c]`` is the flat offset in ``maps`` of step j of chunk c,
+    and the result holds the state after each step in the same layout. The
+    chunks run side by side in three phases: compose each chunk's map over
+    every state, carry the state across the chunks, replay each chunk from
+    its entry state. Once every composed map is constant, which a mixing
+    chain reaches within a few steps, the walks no longer depend on their
+    entry states: from there one column of states replaces composing and
+    replaying, and each chunk's last state is the next one's entry. That is
+    checked at steps 1, 2, 4, ..., so a chain that never coalesces pays
+    O(log width) checks.
+    """
+    flat = maps.ravel()
+    width, n_chunks = offsets.shape
+    walk = np.empty(offsets.shape, dtype=maps.dtype)
+    composed = np.arange(maps.shape[1])
+    coalesced = width
+    for j, row in enumerate(offsets):
+        if j > 0 and j & (j - 1) == 0 and (composed == composed[:, :1]).all():
+            coalesced = j
+            break
         composed = flat.take(row[:, np.newaxis] + composed)
-    # the state entering each chunk
-    entry = [state]
-    for chunk_map in composed[:-1].tolist():
-        entry.append(chunk_map[entry[-1]])
-    # each chunk's walk from its entry state
-    walk = np.empty((width, n_chunks), dtype=maps.dtype)
-    current = np.array(entry)
-    for row, states in zip(offsets, walk):
-        current = flat.take(row + current, out=states)
-    return walk.T.ravel()[: steps.size]
+    if coalesced < width:
+        current = composed[:, 0]
+        for row, states in zip(offsets[coalesced:], walk[coalesced:]):
+            current = flat.take(row + current, out=states, mode="clip")
+        entry = np.concatenate(([state], walk[-1, :-1]))
+    else:
+        entry = [state]
+        for chunk_map in composed[:-1].tolist():
+            entry.append(chunk_map[entry[-1]])
+    current = np.asarray(entry)
+    for row, states in zip(offsets[:coalesced], walk[:coalesced]):
+        current = flat.take(row + current, out=states, mode="clip")
+    return walk
 
 
 def empirical_entropy_rate(
@@ -385,8 +430,13 @@ def empirical_entropy_rate(
     """Plug-in conditional entropy of the next spin given the last n spins.
 
     Requires at least 1e5 * theta**n symbols so that every window is far
-    from the undersampled regime. The standard error comes from batch means
-    of the per-step surprisals, which tolerates the Markov autocorrelation.
+    from the undersampled regime, and raises InvalidBlockError for a symbol
+    outside [0, theta). The standard error comes from batch means of the
+    per-step surprisals, which tolerates the Markov autocorrelation. The
+    windows are counted batch by batch into one row each, the windows past
+    the last batch into a last row, so memory beyond the sequence is one
+    batch of window codes: each batch mean is its count row times the
+    surprisal table, and the estimate comes from the summed counts.
     """
     seq = np.asarray(sequence, dtype=np.int64)
     if theta is None:
@@ -396,20 +446,26 @@ def empirical_entropy_rate(
         raise UndersampledError(
             f"need at least {10**5 * theta**n} symbols for n={n}, got {length}"
         )
-    joint_codes = _joint_codes(seq, n, theta)
-    counts = np.bincount(joint_codes, minlength=theta ** (n + 1)).astype(float)
-    total = counts.sum()
-    joint = counts / total
+    n_batches = 64
+    batch = (length - n) // n_batches
+    starts = [k * batch for k in range(n_batches + 1)] + [length - n]
+    counts = np.empty((n_batches + 1, theta ** (n + 1)), dtype=np.int64)
+    for row, first, stop in zip(counts, starts[:-1], starts[1:]):
+        symbols = seq[first : stop + n]
+        # as unsigned, a negative symbol is out of range too
+        if symbols.size and symbols.view(np.uint64).max() >= theta:
+            raise InvalidBlockError("a symbol sequence is outside the block space")
+        row[:] = np.bincount(_joint_codes(symbols, n, theta), minlength=row.size)
+    joint = counts.sum(axis=0).astype(float)
+    total = joint.sum()
+    joint /= total
     window_marg = joint.reshape(theta**n, theta).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = joint.reshape(theta**n, theta) / window_marg[:, None]
         log2_cond = np.where(joint.reshape(theta**n, theta) > 0.0, np.log2(cond), 0.0)
     value = float(-np.sum(joint.reshape(theta**n, theta) * log2_cond))
 
-    surprisal = -log2_cond.ravel()[joint_codes]
-    n_batches = 64
-    usable = (surprisal.size // n_batches) * n_batches
-    batches = surprisal[:usable].reshape(n_batches, -1).mean(axis=1)
+    batches = counts[:n_batches] @ -log2_cond.ravel() / batch
     stderr = float(batches.std(ddof=1) / np.sqrt(n_batches))
     return EntropyEstimate(value=value, stderr=stderr, samples=int(total))
 

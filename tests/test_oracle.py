@@ -10,6 +10,7 @@ import pytest
 import spinmech
 from spinmech.errors import (
     EnumerationTooLargeError,
+    InvalidBlockError,
     InvalidChainError,
     ReducibleChainError,
     UndersampledError,
@@ -179,8 +180,9 @@ def test_sampling_matches_reference_loop(monkeypatch):
     nn = nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0))
     nnn = nnn_ising(NNNParams(J1=0.8, J2=-0.5, B=0.7, beta=0.9))
     nnn_chain = solve_stochastic(build_transfer(nnn, 0.9))
+    nn_chain = solve_stochastic(build_transfer(nn, 1.0))
     chains = [
-        (solve_stochastic(build_transfer(nn, 1.0)), None),
+        (nn_chain, None),
         (nnn_chain, None),
         (_product_chain((0.4, -0.3, 0.2)), None),  # S = 8
         (_product_chain((0.4, -0.3, 0.2, 0.1, -0.1, 0.05)), None),  # S = 64
@@ -208,6 +210,22 @@ def test_sampling_matches_reference_loop(monkeypatch):
             None,
         ),
     ]
+    # guide-table bins: breakpoints 0.25 and 0.75 sit on bin edges, 0.5 on
+    # an edge with 0.5 + 1e-9 inside its bin, 0.3 and 0.3 + 1e-9 inside one
+    # bin together
+    edges = np.array(
+        [
+            [0.25, 0.5, 0.25, 0.0],
+            [0.5, 1e-9, 0.5 - 1e-9, 0.0],
+            [0.3, 1e-9, 0.2, 0.5 - 1e-9],
+            [0.0, 0.25, 0.25, 0.5],
+        ]
+    )
+    chains.append((replace(nnn_chain, matrix=edges), None))
+    # equal rows make every step map constant: the scan coalesces at step 1
+    chains.append((replace(nnn_chain, matrix=np.tile(nnn_chain.matrix[0], (4, 1))), None))
+    # the two-cycle's step maps are permutations: it never coalesces
+    chains.append((replace(nn_chain, matrix=np.array([[0.0, 1.0], [1.0, 0.0]])), None))
     # a period-four ground state: two recurrent classes, sampled one at a time
     beta = GROUND_STATE_BETA
     frozen = solve_stochastic(
@@ -241,6 +259,15 @@ def test_sampling_rejects_empty_sequences():
     for n_blocks in (0, -3):
         with pytest.raises(InvalidChainError):
             sample_sequence(chain, n_blocks, seed=1)
+
+
+def test_sampling_rejects_seeds_that_do_not_reproduce():
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.0, beta=1.0)), 1.0))
+    for seed in (-1, 1.5, None):
+        with pytest.raises(InvalidChainError):
+            sample_sequence(chain, 10, seed=seed)
+    same = sample_sequence(chain, 10, seed=np.int64(7))
+    assert np.array_equal(same, sample_sequence(chain, 10, seed=7))
 
 
 def test_sampling_reducible_requires_class():
@@ -282,6 +309,74 @@ def test_empirical_entropy_rate_markov_chain():
     analytic = spin_machines(chain).h_mu
     assert abs(estimate.value - analytic) < 0.01
     assert abs(estimate.value - analytic) < 3 * estimate.stderr + 1e-4
+
+
+def _reference_entropy_rate(seq, n, theta):
+    # the estimator before batch counting: gather every step's surprisal
+    # and average it per batch; kept as the reference for the counted one
+    joint_codes = oracle._joint_codes(np.asarray(seq, dtype=np.int64), n, theta)
+    counts = np.bincount(joint_codes, minlength=theta ** (n + 1)).astype(float)
+    total = counts.sum()
+    joint = (counts / total).reshape(theta**n, theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = joint / joint.sum(axis=1)[:, None]
+        log2_cond = np.where(joint > 0.0, np.log2(cond), 0.0)
+    value = float(-np.sum(joint * log2_cond))
+    surprisal = -log2_cond.ravel()[joint_codes]
+    usable = (surprisal.size // 64) * 64
+    batches = surprisal[:usable].reshape(64, -1).mean(axis=1)
+    stderr = float(batches.std(ddof=1) / np.sqrt(64))
+    return value, stderr, int(total)
+
+
+def _ternary_chain_sequence(length, seed):
+    # a three-symbol Markov chain: each step adds 0, 1 or 2 mod 3
+    symbols = np.random.default_rng(seed).choice(3, size=length, p=[0.6, 0.3, 0.1])
+    np.cumsum(symbols, out=symbols)
+    symbols %= 3
+    return symbols
+
+
+def test_batch_counts_match_gathered_surprisals():
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0)), 1.0))
+    binary = sample_sequence(chain, 16 * 10**5 + 77, seed=10)
+    ternary = _ternary_chain_sequence(81 * 10**5 + 59, seed=11)
+    for theta, seq in ((2, binary), (3, ternary)):
+        for n in (1, 2, 3, 4):
+            # lengths that leave a tail past the last of the 64 batches
+            length = 10**5 * theta**n + 37 * n + 5
+            assert (length - n) % 64 != 0
+            value, stderr, samples = _reference_entropy_rate(seq[:length], n, theta)
+            got = empirical_entropy_rate(seq[:length], n, theta)
+            assert got.value == value and got.samples == samples
+            assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def test_entropy_estimate_memory_stays_below_sequence_size():
+    # the gathered surprisals this replaced peaked at about 2x the sequence
+    chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.3, beta=1.0)), 1.0))
+    seq = sample_sequence(chain, 2 * 10**6, seed=12)
+    assert seq.dtype == np.int64
+    tracemalloc.start()
+    try:
+        empirical_entropy_rate(seq, 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * seq.nbytes
+
+
+def test_empirical_entropy_rate_rejects_symbols_outside_alphabet():
+    seq = np.random.default_rng(13).integers(0, 2, size=400_000)
+    assert empirical_entropy_rate(seq, 1, 2).samples == seq.size - 1
+    # the last two as (0, 2) once shifted the estimate in silence
+    for position, symbols in ((slice(-2, None), (0, 2)), (0, 2), (200_000, -1), (-1, -1)):
+        bad = seq.copy()
+        bad[position] = symbols
+        with pytest.raises(InvalidBlockError):
+            empirical_entropy_rate(bad, 1, 2)
+    with pytest.raises(InvalidBlockError):
+        empirical_entropy_rate(np.where(np.arange(seq.size) == 7, -1, seq), 1)
 
 
 def test_window_codes_match_strided_product(monkeypatch):
