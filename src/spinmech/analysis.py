@@ -29,6 +29,7 @@ from .hamiltonian import (
     intra_energy_stack,
     product_couplings,
 )
+from .info import _STACK_ENTRIES
 from .lattice import BlockSpace, SpinAlphabet
 from .machine import MachineSet, MachineStack, block_stack, spin_stack
 from .markov import BlockChain, ChainStack, class_members, invert_stack, window_stack
@@ -44,9 +45,6 @@ from .transfer import build_transfer  # noqa: E402,F401
 # Points per sweep chunk: the unit of work of a process, and the largest
 # stack the pipeline evaluates at once.
 CHUNK_SIZE = 256
-# Cap on P * S**3 for one stack: certification and row grouping build
-# (P, S, S, S) arrays, so wide block spaces run in shorter stacks.
-_STACK_ENTRIES = 1 << 16
 
 LN2 = math.log(2.0)
 
@@ -449,7 +447,10 @@ def evaluate_chunk(
     x = intra_energy_stack(space, fields, couplings)
     y = cross_energy_stack(space, couplings)
 
-    step = max(1, _STACK_ENTRIES // space.size**3)
+    # at most _STACK_ENTRIES entries per (P, S, S) array of a stack: the
+    # O(S^3) kernels walk a stack in row blocks of that many entries, so
+    # its memory grows as P * S**2, and 64-block spaces stack 16 points
+    step = max(1, _STACK_ENTRIES // space.size**2)
     for lo in range(0, len(rows), step):
         hi = lo + step
         stack_errors = errors[lo:hi]

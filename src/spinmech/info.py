@@ -3,11 +3,22 @@
 Everything downstream works on log-weights that can sit thousands of nats
 below or above zero, so the reductions here never leave the log domain.
 Entropies are in bits with the 0*log(0) = 0 convention.
+
+The O(S^3) kernels of the package walk their rows in blocks of at most
+_STACK_ENTRIES entries (``row_blocks``) instead of building (P, S, S, S)
+arrays. Each output entry keeps its reduction over the same axis in the
+same order, so the results do not depend on the block size, bit for bit.
 """
+
+import math
 
 import numpy as np
 
 LOG2 = float(np.log(2.0))
+# Most entries in one block of an O(S^3) kernel: 512 KiB of float64, so
+# that a kernel's two block buffers (1 MiB together) stay in cache. It
+# also caps P * S**2 for one pipeline stack (analysis.evaluate_chunk).
+_STACK_ENTRIES = 1 << 16
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -38,8 +49,13 @@ def log_matvec(log_mat: np.ndarray, log_vec: np.ndarray) -> np.ndarray:
 
 
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Log-domain matrix product, of (..., S, S) stacks."""
-    return logsumexp(log_a[..., :, :, np.newaxis] + log_b[..., np.newaxis, :, :], axis=-2)
+    """Log-domain matrix product, of (..., S, S) stacks of one shape."""
+    size = log_a.shape[-1]
+    a, b = log_a.reshape(-1, size, size), log_b.reshape(-1, size, size)
+    out = np.empty(a.shape)
+    for points, rows, joint, scratch in row_blocks(len(a), size, (size, size), (float, float)):
+        out[points, rows] = log_joint_sum(a, b, points, rows, joint, scratch)[1]
+    return out.reshape(log_a.shape)
 
 
 def log_matrix_power(log_mat: np.ndarray, n: int) -> np.ndarray:
@@ -56,6 +72,64 @@ def log_matrix_power(log_mat: np.ndarray, n: int) -> np.ndarray:
         if k:
             square = log_matmul(square, square)
     return result
+
+
+def log_joint_sum(
+    log_a: np.ndarray,
+    log_b: np.ndarray,
+    points: slice,
+    rows: slice,
+    joint: np.ndarray | None,
+    scratch: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row block of a log-domain product of (P, S, S) stacks.
+
+    Returns joint[p, i, k, j] = log_a[p, i, k] + log_b[p, k, j] over the
+    block's points and rows i, written into ``joint``, and its (p, i, j)
+    logsumexp over k, by logsumexp's arithmetic; ``scratch`` is spoiled.
+    Buffers given as None are fresh arrays.
+    """
+    joint = np.add(log_a[points, rows, :, np.newaxis], log_b[points, np.newaxis], out=joint)
+    top = np.maximum.reduce(joint, axis=2)
+    # a slice whose largest term is +-inf or nan is shifted by 0 instead;
+    # its sum then comes out as that same +-inf or nan, as in logsumexp
+    safe = np.where(np.isfinite(top), top, 0.0)
+    scratch = np.subtract(joint, safe[:, :, np.newaxis, :], out=scratch)
+    total = np.log(np.add.reduce(np.exp(scratch, out=scratch), axis=2))
+    return joint, np.add(total, safe, out=total)
+
+
+def row_blocks(
+    n_points: int, n_rows: int, row_shape: tuple[int, ...], dtypes: tuple
+) -> list[list]:
+    """Blocks of at most _STACK_ENTRIES entries over a (P, R) grid of rows,
+    each row an array of ``row_shape``; a block holds one row at least.
+
+    A block takes whole points while one point fits, else rows of one
+    point. Each comes as [points, rows, *buffers]: slices into the grid
+    and, per dtype, a C-contiguous (points, rows, *row_shape) view of one
+    buffer that all blocks share, to pass as ``out=``. A grid that fits
+    in one block gets None for buffers: its arrays are fresh, as the
+    unblocked arithmetic's would be, and nothing is shared.
+    """
+    per_block = _STACK_ENTRIES // math.prod(row_shape)
+    if per_block >= n_points * n_rows:
+        return [[slice(0, n_points), slice(0, n_rows)] + [None] * len(dtypes)]
+    if per_block >= n_rows:
+        points, rows = per_block // n_rows, n_rows
+    else:
+        points, rows = 1, per_block or 1
+    buffers = [np.empty((points, rows) + row_shape, dtype) for dtype in dtypes]
+    blocks = []
+    for p in range(0, n_points, points):
+        p_end = min(p + points, n_points)
+        for r in range(0, n_rows, rows):
+            r_end = min(r + rows, n_rows)
+            blocks.append(
+                [slice(p, p_end), slice(r, r_end)]
+                + [buffer[: p_end - p, : r_end - r] for buffer in buffers]
+            )
+    return blocks
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PartitionAmbiguityError, raise_first, record_failures
-from .info import xlog2x
+from .info import row_blocks, xlog2x
 from .markov import (
     SUPPORT_FLOOR,
     BlockChain,
@@ -318,11 +318,16 @@ def _close_groups(
     per point, the widest distance inside a linked group: above ``tol``
     the closeness is not transitive and no honest grouping exists.
     """
-    dist = np.abs(emission[:, :, np.newaxis, :] - emission[:, np.newaxis, :, :]).max(axis=3)
-    same = (labels[:, :, np.newaxis] == labels[:, np.newaxis, :]) & (labels >= 0)[:, :, np.newaxis]
+    n_points, size, width = emission.shape
+    dist = np.empty((n_points, size, size))
+    for points, rows, gap in row_blocks(n_points, size, (size, width), (float,)):
+        gap = np.subtract(emission[points, rows, np.newaxis], emission[points, np.newaxis], out=gap)
+        np.maximum.reduce(np.abs(gap, out=gap), axis=3, out=dist[points, rows])
+    recurrent = labels >= 0
+    same = (labels[:, :, np.newaxis] == labels[:, np.newaxis, :]) & recurrent[:, :, np.newaxis]
     linked = closure((dist <= tol) & same)
-    spread = np.where(linked, dist, 0.0).max(axis=(1, 2))
-    return np.where(labels >= 0, linked.argmax(axis=2), -1), spread
+    spread = np.maximum.reduce(np.where(linked, dist, 0.0), axis=(1, 2))
+    return np.where(recurrent, linked.argmax(axis=2), -1), spread
 
 
 def _ambiguity(spread: float, tol: float) -> PartitionAmbiguityError:
@@ -343,13 +348,18 @@ def _refine(
     """
     support = emission > SUPPORT_FLOOR
     recurrent = labels >= 0
+    n_points, size, width = emission.shape
+    agree = np.empty((n_points, size, size), dtype=bool)
+    blocks = row_blocks(n_points, size, (size, 1 + width), (bool,))
     while True:
         # column 0 is the member's own group
         signature = np.concatenate(
             [groups[:, :, np.newaxis], np.where(support, groups[:, successor], -1)], axis=2
         )
-        agree = (signature[:, :, np.newaxis, :] == signature[:, np.newaxis, :, :]).all(axis=3)
+        for points, rows, equal in blocks:
+            equal = np.equal(signature[points, rows, np.newaxis], signature[points, np.newaxis], out=equal)
+            np.logical_and.reduce(equal, axis=3, out=agree[points, rows])
         refined = np.where(recurrent, agree.argmax(axis=2), -1)
-        if (refined == groups).all():
+        if np.logical_and.reduce(refined == groups, axis=None):
             return groups
         groups = refined

@@ -10,11 +10,12 @@ against the consistency relation the local characteristics impose.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InversionError, ReducibleChainError, raise_first, record_failures
-from .info import logsumexp
+from .info import log_joint_sum, logsumexp, row_blocks
 from .lattice import BlockSpace
 from .transfer import TransferSystem
 
@@ -121,7 +122,7 @@ class ChainStack:
 
 def local_characteristics(ts: TransferSystem) -> LocalCharacteristics:
     """Neighbor-conditional block distributions, computed in the log domain."""
-    log_interior = _log_interior(ts.log_v[None])[0]
+    log_interior = _log_interior(ts.log_v[None], slice(None), slice(None))[0]
     interior = np.exp(log_interior)
 
     log_v = ts.log_v
@@ -141,9 +142,11 @@ def consistency_residual(
     For every triple (j, i, m) the candidate matrix must satisfy
     Pr(i | j, m) * (P @ P)[j, m] = P[j, i] * P[i, m].
     """
-    residual, flat = _consistency_gap(lc.interior[None], matrix[None])
-    triple = np.unravel_index(int(flat[0]), lc.interior.shape)
-    return float(residual[0]), (int(triple[0]), int(triple[1]), int(triple[2]))
+    def log_interior(points, rows, *buffers):
+        return lc.log_interior[np.newaxis, rows]
+
+    residual = float(_consistency_gap(matrix[None], log_interior)[0])
+    return residual, _worst_triple(matrix[None], log_interior, residual)
 
 
 def solve_stochastic(ts: TransferSystem) -> BlockChain:
@@ -175,12 +178,12 @@ def invert_stack(
     matrix = np.exp(log_rows - norms[:, :, np.newaxis])
     matrix /= matrix.sum(axis=2, keepdims=True)
 
-    interior = np.exp(_log_interior(log_v))
-    residual, flat = _consistency_gap(interior, matrix)
+    residual = _consistency_gap(matrix, partial(_log_interior, log_v))
     failed = ~(residual <= CONSISTENCY_TOL)
 
     def failure(p: int) -> InversionError:
-        triple = tuple(int(t) for t in np.unravel_index(int(flat[p]), interior.shape[1:]))
+        one = slice(p, p + 1)
+        triple = _worst_triple(matrix[one], partial(_log_interior, log_v[one]), residual[p])
         return InversionError(
             f"consistency residual {residual[p]:.3e} exceeds {CONSISTENCY_TOL:.1e} "
             f"at triple {triple}",
@@ -279,27 +282,63 @@ def restrict_to_class(chain: BlockChain, class_index: int) -> tuple[np.ndarray, 
     return members, sub, chain.class_pis[class_index]
 
 
-def _log_interior(log_v: np.ndarray) -> np.ndarray:
-    """log Pr(block i | left j, right m) as a (P, j, i, m) stack."""
-    # joint[p, j, i, m] = log V[j, i] + log V[i, m]
-    joint = log_v[:, :, :, np.newaxis] + log_v[:, np.newaxis, :, :]
-    return joint - logsumexp(joint, axis=2)[:, :, np.newaxis, :]
+def _log_interior(
+    log_v: np.ndarray,
+    points: slice,
+    rows: slice,
+    joint: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """log Pr(block i | left j, right m) as a (p, j, i, m) block over the
+    given points and left blocks j, in ``joint`` (see info.log_joint_sum)."""
+    # joint[p, j, i, m] = log V[j, i] + log V[i, m], normalized over i
+    joint, log_two_step = log_joint_sum(log_v, log_v, points, rows, joint, scratch)
+    return np.subtract(joint, log_two_step[:, :, np.newaxis, :], out=joint)
 
 
-def _consistency_gap(interior: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the largest |Pr(i|j,m) (P@P)[j,m] - P[j,i] P[i,m]| and
-    the flat (j, i, m) index of its first occurrence."""
-    pairs = matrix[:, :, :, np.newaxis] * matrix[:, np.newaxis, :, :]
-    two_step = pairs.sum(axis=2)
-    diff = np.abs(interior * two_step[:, :, np.newaxis, :] - pairs).reshape(len(matrix), -1)
-    flat = np.argmax(diff, axis=1)
-    return diff[np.arange(len(matrix)), flat], flat
+def _gap_blocks(matrix: np.ndarray, log_interior):
+    """Yield (points, rows, gap): gap[p, j, i, m] = |Pr(i|j,m) (P@P)[j,m] -
+    P[j,i] P[i,m]| over row blocks of left blocks j, in a buffer that the
+    next block reuses.
+
+    ``log_interior(points, rows, joint, scratch)`` gives log Pr(i | j, m)
+    over the block, as _log_interior does.
+    """
+    size = matrix.shape[1]
+    for points, rows, gap, pairs in row_blocks(len(matrix), size, (size, size), (float, float)):
+        interior = log_interior(points, rows, gap, pairs)
+        gap = np.exp(interior, out=gap)
+        pairs = np.multiply(matrix[points, rows, :, np.newaxis], matrix[points, np.newaxis], out=pairs)
+        gap = np.multiply(gap, np.add.reduce(pairs, axis=2)[:, :, np.newaxis, :], out=gap)
+        yield points, rows, np.abs(np.subtract(gap, pairs, out=gap), out=gap)
+
+
+def _consistency_gap(matrix: np.ndarray, log_interior) -> np.ndarray:
+    """Per point, the largest consistency gap; nan if any gap is nan."""
+    residual = np.zeros(len(matrix))
+    for points, _, gap in _gap_blocks(matrix, log_interior):
+        worst = residual[points]
+        np.maximum(worst, np.maximum.reduce(gap.reshape(len(gap), -1), axis=1), out=worst)
+    return residual
+
+
+def _worst_triple(matrix: np.ndarray, log_interior, residual: float) -> tuple[int, int, int]:
+    """(j, i, m) of a one-point stack's first gap equal to its largest,
+    ``residual`` (its first nan if that is nan), as np.argmax would find it."""
+    size = matrix.shape[1]
+    for _, rows, gap in _gap_blocks(matrix, log_interior):
+        flat = gap.reshape(-1)
+        first = int(flat.argmax())
+        if flat[first] == residual or np.isnan(flat[first]):
+            triple = np.unravel_index(rows.start * size * size + first, (size, size, size))
+            return tuple(int(t) for t in triple)
 
 
 def closure(edges: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of a (P, S, S) stack of boolean graphs."""
     size = edges.shape[1]
-    reach = edges | np.eye(size, dtype=bool)
+    reach = edges.copy()
+    reach.reshape(len(edges), -1)[:, :: size + 1] = True
     steps = 1
     while steps < size - 1:
         # squaring doubles the path length covered; path counts are exact

@@ -302,8 +302,8 @@ def sample_sequence(
 
     The first block is drawn from the stationary distribution, later blocks
     from the matrix rows. Reducible chains need an explicit class choice.
-    ``seed`` must be a non-negative integer; anything else raises
-    InvalidChainError, since no other seed reproduces its sequence.
+    ``seed`` must be a non-negative integer, not a bool; anything else
+    raises InvalidChainError, since no other seed reproduces its sequence.
 
     A step sends state s to min(searchsorted(cum[s], u, "right"), S - 1),
     with ``cum`` the row cumulative sums. That map depends only on which
@@ -320,7 +320,7 @@ def sample_sequence(
     """
     if n_blocks < 1:
         raise InvalidChainError(f"n_blocks must be at least 1, got {n_blocks}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_count(seed, 0):
         raise InvalidChainError(f"seed must be a non-negative integer, got {seed!r}")
     if chain.pi is not None and class_index is None:
         members = np.arange(chain.size)
@@ -431,13 +431,19 @@ def empirical_entropy_rate(
 
     Requires at least 1e5 * theta**n symbols so that every window is far
     from the undersampled regime, and raises InvalidBlockError for a symbol
-    outside [0, theta). The standard error comes from batch means of the
+    outside [0, theta). ``n`` must be an integer >= 0 and ``theta`` None or
+    an integer >= 1 (bools are neither); anything else raises
+    InvalidChainError. The standard error comes from batch means of the
     per-step surprisals, which tolerates the Markov autocorrelation. The
     windows are counted batch by batch into one row each, the windows past
     the last batch into a last row, so memory beyond the sequence is one
     batch of window codes: each batch mean is its count row times the
     surprisal table, and the estimate comes from the summed counts.
     """
+    if not _is_count(n, 0):
+        raise InvalidChainError(f"window length n must be an integer >= 0, got {n!r}")
+    if theta is not None and not _is_count(theta, 1):
+        raise InvalidChainError(f"alphabet size theta must be an integer >= 1, got {theta!r}")
     seq = np.asarray(sequence, dtype=np.int64)
     if theta is None:
         theta = int(seq.max()) + 1
@@ -468,6 +474,11 @@ def empirical_entropy_rate(
     batches = counts[:n_batches] @ -log2_cond.ravel() / batch
     stderr = float(batches.std(ddof=1) / np.sqrt(n_batches))
     return EntropyEstimate(value=value, stderr=stderr, samples=int(total))
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``low``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def _joint_codes(seq: np.ndarray, n: int, theta: int) -> np.ndarray:

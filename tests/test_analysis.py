@@ -332,6 +332,21 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
         "J2": fig1["J"],
         "B": fig1["B"],
     }
+    # 32-block chains: a stack holds _STACK_ENTRIES // 32**2 of them, since
+    # the O(S^3) kernels walk it in row blocks
+    wide_sweep = (
+        {"preset": "custom", "range": 5},
+        {"couplings": {"product": [0.7, -0.4, 0.3, 0.2, -0.1]}},
+        {
+            "mode": "random",
+            "count": analysis.CHUNK_SIZE + 10,
+            "seed": 5,
+            "parameters": {
+                "beta": {"low": 1e-2, "high": 5.0, "scale": "log"},
+                "field": {"low": -3.0, "high": 3.0},
+            },
+        },
+    )
     configs = [
         # Fig-1 NN points
         ({"preset": "nn"}, {}, {"mode": "random", "count": longer, "seed": 7, "parameters": fig1}),
@@ -356,6 +371,7 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
                 "parameters": {"beta": {"low": 1e-2, "high": 5.0, "scale": "log"}},
             },
         ),
+        wide_sweep,
         # the last two refine several Perron vectors per stack, some of
         # them by squaring: Fig-1 NNN points, and NNN ground states in a field
         (
@@ -369,18 +385,25 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
             _grid(J1=(-2.0, 2.0, 23), J2=(-2.0, 2.0, 23)),
         ),
     ]
-    statuses, class_counts, refined = set(), set(), []
+    statuses, class_counts, refined, stacked = set(), set(), [], []
     refine = transfer._log_refine
+    evaluate = analysis.evaluate_stack
 
     def recording_refine(log_v, log_x):
         refined[-1] = max(refined[-1], len(log_x))
         return refine(log_v, log_x)
 
+    def recording_stack(space, x, y, betas, errors):
+        stacked[-1] = max(stacked[-1], len(betas))
+        return evaluate(space, x, y, betas, errors)
+
     for model, base, sweep in configs:
         config = {"model": model, "parameters": base, "sweep": sweep}
         refined.append(0)
+        stacked.append(0)
         with monkeypatch.context() as patch:
             patch.setattr(transfer, "_log_refine", recording_refine)
+            patch.setattr(analysis, "evaluate_stack", recording_stack)
             names, serial = run_sweep(config, jobs=1)
         assert len(serial) > analysis.CHUNK_SIZE
         expected = [_row_signature(row) for row in serial]
@@ -403,6 +426,7 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
     assert {"ok", "limit_parameter_error"} <= statuses
     assert {1, 2, 4} <= class_counts
     assert min(refined[-2:]) >= 2
+    assert stacked[configs.index(wide_sweep)] == analysis._STACK_ENTRIES // 32**2 > 1
 
 
 class _RecordingPool:

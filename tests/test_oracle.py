@@ -263,7 +263,8 @@ def test_sampling_rejects_empty_sequences():
 
 def test_sampling_rejects_seeds_that_do_not_reproduce():
     chain = solve_stochastic(build_transfer(nn_ising(NNParams(J=E2BJ3, B=0.0, beta=1.0)), 1.0))
-    for seed in (-1, 1.5, None):
+    # True once ran as seed 1
+    for seed in (-1, 1.5, None, True):
         with pytest.raises(InvalidChainError):
             sample_sequence(chain, 10, seed=seed)
     same = sample_sequence(chain, 10, seed=np.int64(7))
@@ -412,3 +413,21 @@ def test_import_leaves_scipy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "n, theta",
+    [(-1, 2), (1.5, 2), (1, 2.5), (True, 2), (1, 0), (1, True), (np.float64(1.0), 2)],
+)
+def test_empirical_entropy_rate_rejects_malformed_window_and_alphabet(n, theta):
+    seq = np.random.default_rng(14).integers(0, 2, size=300_000)
+    with pytest.raises(InvalidChainError, match="n must|theta must"):
+        empirical_entropy_rate(seq, n, theta)
+
+
+def test_empirical_entropy_rate_takes_zero_and_numpy_integer_windows():
+    seq = np.random.default_rng(14).integers(0, 2, size=300_000)
+    assert empirical_entropy_rate(seq, 0, 2).samples == seq.size
+    by_numpy = empirical_entropy_rate(seq, np.int64(1), np.int32(2))
+    assert by_numpy == empirical_entropy_rate(seq, 1, 2)
+
