@@ -16,8 +16,8 @@ import numpy as np
 
 LOG2 = float(np.log(2.0))
 # Most entries in one block of an O(S^3) kernel: 512 KiB of float64, so
-# that a kernel's two block buffers (1 MiB together) stay in cache. It
-# also caps P * S**2 for one pipeline stack (analysis.evaluate_chunk).
+# that a kernel's block buffers stay in cache. It also caps P * S**2 for
+# one pipeline stack (analysis.evaluate_chunk).
 _STACK_ENTRIES = 1 << 16
 
 
@@ -34,7 +34,9 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     finite = np.isfinite(m)
     if finite.all():
         return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    safe = np.where(finite, m, 0.0)
+    # a slice whose largest term is +-inf is shifted by 0 instead, and one
+    # whose largest is nan by nan, which cannot overflow on the way
+    safe = np.where(np.isinf(m), 0.0, m)
     out = np.log(np.sum(np.exp(a - safe), axis=axis)) + np.squeeze(safe, axis=axis)
     # slices that were all -inf must stay -inf, not nan
     return np.where(np.squeeze(finite, axis=axis), out, np.squeeze(m, axis=axis))
@@ -53,8 +55,10 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     size = log_a.shape[-1]
     a, b = log_a.reshape(-1, size, size), log_b.reshape(-1, size, size)
     out = np.empty(a.shape)
-    for points, rows, joint, scratch in row_blocks(len(a), size, (size, size), (float, float)):
-        out[points, rows] = log_joint_sum(a, b, points, rows, joint, scratch)[1]
+    for points, rows, joint in row_blocks(len(a), size, (size, size), (float,)):
+        # joint[p, i, k, j] = a[p, i, k] + b[p, k, j], summed over k
+        joint = np.add(a[points, rows, :, np.newaxis], b[points, np.newaxis], out=joint)
+        out[points, rows] = logsumexp(joint, axis=2)
     return out.reshape(log_a.shape)
 
 
@@ -72,31 +76,6 @@ def log_matrix_power(log_mat: np.ndarray, n: int) -> np.ndarray:
         if k:
             square = log_matmul(square, square)
     return result
-
-
-def log_joint_sum(
-    log_a: np.ndarray,
-    log_b: np.ndarray,
-    points: slice,
-    rows: slice,
-    joint: np.ndarray | None,
-    scratch: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row block of a log-domain product of (P, S, S) stacks.
-
-    Returns joint[p, i, k, j] = log_a[p, i, k] + log_b[p, k, j] over the
-    block's points and rows i, written into ``joint``, and its (p, i, j)
-    logsumexp over k, by logsumexp's arithmetic; ``scratch`` is spoiled.
-    Buffers given as None are fresh arrays.
-    """
-    joint = np.add(log_a[points, rows, :, np.newaxis], log_b[points, np.newaxis], out=joint)
-    top = np.maximum.reduce(joint, axis=2)
-    # a slice whose largest term is +-inf or nan is shifted by 0 instead;
-    # its sum then comes out as that same +-inf or nan, as in logsumexp
-    safe = np.where(np.isfinite(top), top, 0.0)
-    scratch = np.subtract(joint, safe[:, :, np.newaxis, :], out=scratch)
-    total = np.log(np.add.reduce(np.exp(scratch, out=scratch), axis=2))
-    return joint, np.add(total, safe, out=total)
 
 
 def row_blocks(

@@ -301,14 +301,6 @@ def _machine_stack(
     )
 
 
-def _tolerance_groups(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Group near-identical rows; non-transitive closeness is an error."""
-    groups, spread = _close_groups(rows[None], np.zeros((1, rows.shape[0]), dtype=int), tol)
-    if spread[0] > tol:
-        raise _ambiguity(spread[0], tol)
-    return groups[0]
-
-
 def _close_groups(
     emission: np.ndarray, labels: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:

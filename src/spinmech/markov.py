@@ -5,17 +5,17 @@ characteristics of the random field) comes straight from the transfer
 matrix. Recovering the one-sided transition matrix from those conditionals
 is the inverse problem; here it is done through the spectral closed form
 P[i, j] = V[i, j] * r[j] / (lambda0 * r[i]), evaluated with per-row
-normalization in the log domain, and every returned matrix is certified
-against the consistency relation the local characteristics impose.
+normalization in the log domain. Every returned matrix is certified
+against the consistency relation the local characteristics impose, by a
+bound on all neighbor triples that the row normalizers give in O(S^2).
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import InversionError, ReducibleChainError, raise_first, record_failures
-from .info import log_joint_sum, logsumexp, row_blocks
+from .info import logsumexp
 from .lattice import BlockSpace
 from .transfer import TransferSystem
 
@@ -57,8 +57,8 @@ class BlockChain:
     recurrent classes coexist (zero-temperature phase degeneracy); the
     per-class stationaries always exist. ``limit_mass`` carries the
     transfer-level stationary weights used to weight classes, and
-    ``consistency_residual`` the certification diagnostic of the inversion
-    that produced the matrix (None for derived chains).
+    ``consistency_residual`` the certified bound on the consistency gap of
+    the inversion that produced the matrix (None for derived chains).
     """
 
     space: BlockSpace
@@ -90,8 +90,8 @@ class ChainStack:
     is the stationary probability of i within its class and
     ``weights[p, c]`` the weight of class c (0 beyond the last class).
     ``rows`` holds each state's row restricted to its class and
-    renormalized (zero for transients). ``residual`` is the certification
-    residual per point, None for derived chains.
+    renormalized (zero for transients). ``residual`` is the certified
+    consistency bound per point, None for derived chains.
     """
 
     space: BlockSpace
@@ -122,10 +122,12 @@ class ChainStack:
 
 def local_characteristics(ts: TransferSystem) -> LocalCharacteristics:
     """Neighbor-conditional block distributions, computed in the log domain."""
-    log_interior = _log_interior(ts.log_v[None], slice(None), slice(None))[0]
+    log_v = ts.log_v
+    # joint[j, i, m] = log V[j, i] + log V[i, m], normalized over i
+    joint = log_v[:, :, np.newaxis] + log_v[np.newaxis, :, :]
+    log_interior = joint - logsumexp(joint, axis=1)[:, np.newaxis, :]
     interior = np.exp(log_interior)
 
-    log_v = ts.log_v
     first_num = ts.log_u[:, np.newaxis] + log_v
     first_den = logsumexp(first_num, axis=0)
     first = np.exp(first_num - first_den[np.newaxis, :])
@@ -137,25 +139,26 @@ def local_characteristics(ts: TransferSystem) -> LocalCharacteristics:
 def consistency_residual(
     lc: LocalCharacteristics, matrix: np.ndarray
 ) -> tuple[float, tuple[int, int, int]]:
-    """Largest absolute violation of the field/chain consistency relation.
+    """Largest absolute violation of the field/chain consistency relation,
+    with the (j, i, m) of its first occurrence (of the first nan, if any).
 
     For every triple (j, i, m) the candidate matrix must satisfy
     Pr(i | j, m) * (P @ P)[j, m] = P[j, i] * P[i, m].
     """
-    def log_interior(points, rows, *buffers):
-        return lc.log_interior[np.newaxis, rows]
-
-    residual = float(_consistency_gap(matrix[None], log_interior)[0])
-    return residual, _worst_triple(matrix[None], log_interior, residual)
+    pairs = matrix[:, :, np.newaxis] * matrix[np.newaxis, :, :]
+    gap = np.abs(lc.interior * pairs.sum(axis=1)[:, np.newaxis, :] - pairs)
+    first = int(np.argmax(gap))
+    triple = np.unravel_index(first, gap.shape)
+    return float(gap.flat[first]), tuple(int(t) for t in triple)
 
 
 def solve_stochastic(ts: TransferSystem) -> BlockChain:
     """Invert the local characteristics into the block transition matrix.
 
     Uses the spectral closed form with per-row log-domain normalization,
-    then certifies the consistency relation; a residual above
+    then bounds the consistency gap of every triple; a bound above
     CONSISTENCY_TOL, or one that is not a number, raises InversionError
-    naming the worst triple.
+    naming a triple where the bound bites.
     """
     errors = [None]
     stack = invert_stack(
@@ -178,14 +181,28 @@ def invert_stack(
     matrix = np.exp(log_rows - norms[:, :, np.newaxis])
     matrix /= matrix.sum(axis=2, keepdims=True)
 
-    residual = _consistency_gap(matrix, partial(_log_interior, log_v))
+    # With rho_j = N_j / r_j, where N_j = sum_i V[j, i] r_i is the row
+    # norm, the consistency gap of the triple (j, i, m) is exactly
+    # P[j, i] P[i, m] |rho_i <1/rho>_w - 1|, <.>_w the mean under the
+    # weights w_k = V[j, k] V[k, m]. So expm1 of the spread of log rho
+    # bounds every triple, up to the rounding of log arithmetic on weights
+    # of magnitude max|log V|, in O(S^2) per point.
+    log_rho = norms - log_right
+    rounding = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(log_v).max(axis=(1, 2)))
+    # a spread past log(max float), from a vector the Perron gate already
+    # failed, bounds by inf and fails here too
+    with np.errstate(over="ignore"):
+        residual = np.expm1(np.ptp(log_rho, axis=1)) + rounding
     failed = ~(residual <= CONSISTENCY_TOL)
 
     def failure(p: int) -> InversionError:
-        one = slice(p, p + 1)
-        triple = _worst_triple(matrix[one], partial(_log_interior, log_v[one]), residual[p])
+        # the first state of extreme log rho (the first nan, if any), with
+        # its largest in- and out-entries: P[j, i] P[i, m] weights its gap most
+        rho = log_rho[p]
+        i = int(np.argmax((rho == rho.max()) | (rho == rho.min()) | np.isnan(rho)))
+        triple = (int(np.argmax(matrix[p, :, i])), i, int(np.argmax(matrix[p, i])))
         return InversionError(
-            f"consistency residual {residual[p]:.3e} exceeds {CONSISTENCY_TOL:.1e} "
+            f"consistency bound {residual[p]:.3e} exceeds {CONSISTENCY_TOL:.1e} "
             f"at triple {triple}",
             float(residual[p]),
             triple,
@@ -280,58 +297,6 @@ def restrict_to_class(chain: BlockChain, class_index: int) -> tuple[np.ndarray, 
     sub = chain.matrix[np.ix_(members, members)]
     sub = sub / sub.sum(axis=1, keepdims=True)
     return members, sub, chain.class_pis[class_index]
-
-
-def _log_interior(
-    log_v: np.ndarray,
-    points: slice,
-    rows: slice,
-    joint: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """log Pr(block i | left j, right m) as a (p, j, i, m) block over the
-    given points and left blocks j, in ``joint`` (see info.log_joint_sum)."""
-    # joint[p, j, i, m] = log V[j, i] + log V[i, m], normalized over i
-    joint, log_two_step = log_joint_sum(log_v, log_v, points, rows, joint, scratch)
-    return np.subtract(joint, log_two_step[:, :, np.newaxis, :], out=joint)
-
-
-def _gap_blocks(matrix: np.ndarray, log_interior):
-    """Yield (points, rows, gap): gap[p, j, i, m] = |Pr(i|j,m) (P@P)[j,m] -
-    P[j,i] P[i,m]| over row blocks of left blocks j, in a buffer that the
-    next block reuses.
-
-    ``log_interior(points, rows, joint, scratch)`` gives log Pr(i | j, m)
-    over the block, as _log_interior does.
-    """
-    size = matrix.shape[1]
-    for points, rows, gap, pairs in row_blocks(len(matrix), size, (size, size), (float, float)):
-        interior = log_interior(points, rows, gap, pairs)
-        gap = np.exp(interior, out=gap)
-        pairs = np.multiply(matrix[points, rows, :, np.newaxis], matrix[points, np.newaxis], out=pairs)
-        gap = np.multiply(gap, np.add.reduce(pairs, axis=2)[:, :, np.newaxis, :], out=gap)
-        yield points, rows, np.abs(np.subtract(gap, pairs, out=gap), out=gap)
-
-
-def _consistency_gap(matrix: np.ndarray, log_interior) -> np.ndarray:
-    """Per point, the largest consistency gap; nan if any gap is nan."""
-    residual = np.zeros(len(matrix))
-    for points, _, gap in _gap_blocks(matrix, log_interior):
-        worst = residual[points]
-        np.maximum(worst, np.maximum.reduce(gap.reshape(len(gap), -1), axis=1), out=worst)
-    return residual
-
-
-def _worst_triple(matrix: np.ndarray, log_interior, residual: float) -> tuple[int, int, int]:
-    """(j, i, m) of a one-point stack's first gap equal to its largest,
-    ``residual`` (its first nan if that is nan), as np.argmax would find it."""
-    size = matrix.shape[1]
-    for _, rows, gap in _gap_blocks(matrix, log_interior):
-        flat = gap.reshape(-1)
-        first = int(flat.argmax())
-        if flat[first] == residual or np.isnan(flat[first]):
-            triple = np.unravel_index(rows.start * size * size + first, (size, size, size))
-            return tuple(int(t) for t in triple)
 
 
 def closure(edges: np.ndarray) -> np.ndarray:

@@ -31,6 +31,10 @@ _REFINE_SPREAD = 10.0
 _ROUNDING_WIDTHS = 16.0
 # 2**60 steps resolve every mode whose residual that width can see.
 _MAX_SQUARINGS = 60
+# Steps after which a point leaves the refinement whatever its spectrum:
+# over ten times the most (77) that a point of the seeded draws under
+# scripts/ or a range 7-8 analyze takes to settle.
+_MAX_STEPS = 1000
 # Dominant eigenvalues closer than this are one degenerate cluster: their
 # splitting sits below what floating point can resolve, which happens when
 # several ordered phases coexist in the zero-temperature limit.
@@ -367,9 +371,12 @@ def _log_refine(log_v: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.nd
     whose shift damps periodic modes too: k squarings contract a slow mode
     of ratio rho as rho**(2**k). A point stops once a step of V moves it by
     at most the rounding width, which leaves the mixture of a tied phase
-    cluster as it is. Log products subtract nothing, so entries keep their
-    relative accuracy, and each point's arithmetic uses its own slices. The
-    root is sum(V x) / sum(x), accurate however far the entries are graded.
+    cluster as it is, or after _MAX_STEPS steps, where a spectrum that
+    neither settles nor stalls (a pair of roots +-lambda, once the first
+    squaring fixes their mixtures) leaves it to the Perron gate. Log
+    products subtract nothing, so entries keep their relative accuracy,
+    and each point's arithmetic uses its own slices. The root is
+    sum(V x) / sum(x), accurate however far the entries are graded.
     """
     n_points, size = log_x.shape
     out = np.empty_like(log_x)
@@ -381,7 +388,9 @@ def _log_refine(log_v: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.nd
     width = rounding * np.abs(v).max(axis=(1, 2))
     change = np.full(n_points, np.inf)
     squarings = np.zeros(n_points, dtype=int)
-    while index.size:
+    for _ in range(_MAX_STEPS):
+        if not index.size:
+            break
         # one call steps every point by V, which moves it by its residual,
         # and the points with a squared operator by that operator too
         lead = np.flatnonzero(squarings)
@@ -410,4 +419,5 @@ def _log_refine(log_v: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.nd
             run = ~done
             index, v, op, x = index[run], v[run], op[run], x[run]
             width, change, squarings = width[run], change[run], squarings[run]
+    out[index] = x
     return logsumexp(log_matvec(log_v, out), axis=1) - logsumexp(out, axis=1), out

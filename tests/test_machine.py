@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spinmech.errors import PartitionAmbiguityError
 from spinmech.machine import block_machines, spin_machines
 from spinmech.markov import solve_stochastic
 from spinmech.models import NNNParams, NNParams, nn_ising, nnn_ising
@@ -102,11 +101,14 @@ def test_transition_matrices_single_state():
 
 
 def test_partition_ambiguity_error():
-    from spinmech.machine import _tolerance_groups
+    from spinmech.machine import _close_groups
 
+    # rows 0-1 and 1-2 are within tol, rows 0-2 are not: the group's spread
+    # exceeds tol, which the machine stages report as PartitionAmbiguityError
     rows = np.array([[0.0, 1.0], [1e-9, 1.0 - 1e-9], [2e-9, 1.0 - 2e-9]])
-    with pytest.raises(PartitionAmbiguityError):
-        _tolerance_groups(rows, tol=1.5e-9)
+    groups, spread = _close_groups(rows[None], np.zeros((1, 3), dtype=int), tol=1.5e-9)
+    assert groups[0].tolist() == [0, 0, 0]
+    assert spread[0] > 1.5e-9
 
 
 def test_spin_machine_single_spin_blocks_match_block_machine():

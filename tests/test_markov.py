@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_consistency_closure_matches_local_characteristics():
         chain = solve_stochastic(ts)
         lc = local_characteristics(ts)
         residual, _ = consistency_residual(lc, chain.matrix)
-        assert residual <= 1e-10
+        assert residual <= chain.consistency_residual <= 1e-10
         # direct closure form: P[j,i] P[i,m] / (P^2)[j,m] reproduces the field
         two = chain.matrix @ chain.matrix
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -90,8 +91,11 @@ def test_inversion_error_reports_triple():
 
 def test_inversion_error_on_nan_residual():
     ts = dataclasses.replace(nn_ts(), log_right=np.array([0.0, np.nan]))
-    with pytest.raises(InversionError):
-        solve_stochastic(ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InversionError) as err:
+            solve_stochastic(ts)
+    assert np.isnan(err.value.residual)
 
 
 def test_stationary_simple_and_reducible():

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 
+import spinmech
 from spinmech.analysis import analyze
 from spinmech.errors import SpinmechError
 from spinmech.hamiltonian import Hamiltonian
@@ -148,6 +153,70 @@ def test_periodic_ground_states_reach_a_certified_perron_pair(phase, j1, j2, b):
     assert nnn_ground_state_phase(params) == phase
     ts = build_transfer(nnn_ising(params), GROUND_STATE_BETA)
     assert ts.perron_residual <= 1e-12
+
+
+# (field, couplings by distance, beta) of product chains on which the
+# refinement once ran forever: a standalone range-5 point, then range 3
+# index 432, range 4 index 1056 and range 5 indices 340 and 585 of the
+# wide-beta draw of scripts/reviewer_draw.py
+UNENDING_POINTS = [
+    (
+        -2.062304043931057,
+        [-0.18002780285854048, 0.47637805450201265, -1.3996535534625523, 0.3602406104390832, -0.7792964940016102],
+        42.69274303839124,
+    ),
+    (
+        -2.767975367236438,
+        [-1.3522951120012578, 0.48509704722615465, -0.9627970015196915],
+        24.99674452537551,
+    ),
+    (
+        -0.19156505055452122,
+        [-1.4751014179272444, -0.820572787049394, 0.6036975526274344, 0.5105262355852558],
+        GROUND_STATE_BETA,
+    ),
+    (
+        -0.18485631981378337,
+        [-0.5186482860166349, 1.20092282847083, -1.365825257597952, -0.24403778974461265, -1.2202889082175528],
+        45.09518639181669,
+    ),
+    (
+        -0.15887164927175856,
+        [-1.3047379232207752, -1.2164640060688257, -0.9302389672281807, -1.2309706674193124, -0.3498130252212346],
+        GROUND_STATE_BETA,
+    ),
+]
+
+# analyze each point of argv[2] (a repr of UNENDING_POINTS), printing its status
+ANALYZE_POINTS = """
+import ast, sys
+sys.path.insert(0, sys.argv[1])
+from spinmech.analysis import analyze
+from spinmech.errors import SpinmechError
+from spinmech.hamiltonian import Hamiltonian
+from spinmech.lattice import BINARY, BlockSpace
+for field, couplings, beta in ast.literal_eval(sys.argv[2]):
+    try:
+        analyze(Hamiltonian.pair_product(BlockSpace(BINARY, len(couplings)), field, couplings), beta)
+        print("ok")
+    except SpinmechError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_refinement_ends_where_it_neither_settles_nor_stalls():
+    # a pair of roots +-lambda that the first squaring leaves mixed: the
+    # step cap ends the refinement and the Perron gate types the point; a
+    # child process holds the wall limit should the loop run on
+    root = os.path.dirname(os.path.dirname(spinmech.__file__))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", ANALYZE_POINTS, root, repr(UNENDING_POINTS)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ConvergenceError"] * len(UNENDING_POINTS)
 
 
 def test_perron_projection_limit():
