@@ -32,7 +32,13 @@ from .hamiltonian import (
 from .info import _STACK_ENTRIES
 from .lattice import BlockSpace, SpinAlphabet
 from .machine import MachineSet, MachineStack, block_stack, spin_stack
-from .markov import BlockChain, ChainStack, class_members, invert_stack, window_stack
+from .markov import (
+    BlockChain,
+    ChainStack,
+    block_and_window_stacks,
+    class_members,
+    invert_stack,
+)
 from .models import NN_SPACE, NNN_SPACE, PBRWParams, pbrw_couplings
 from .transfer import GROUND_STATE_BETA, TransferStack, transfer_stack
 
@@ -180,12 +186,14 @@ def evaluate_stack(
     intra and (P, S, S) cross energies; a point that fails gets its typed
     error in ``errors`` and leaves the others untouched."""
     transfer = transfer_stack(space, x, y, betas, errors)
-    chains = invert_stack(space, transfer.log_v, transfer.log_right, transfer.log_left, errors)
-    block = block_stack(chains, errors)
+    perron = (transfer.log_v, transfer.log_right, transfer.log_left, errors)
     if space.n == 1:
-        spin = block
+        chains = invert_stack(space, *perron)
+        block = spin = block_stack(chains, errors)
     else:
-        spin = spin_stack(window_stack(space, chains.matrix, chains.limit_mass), errors)
+        chains, windows = block_and_window_stacks(space, *perron)
+        block = block_stack(chains, errors)
+        spin = spin_stack(windows, errors)
     return PointStack(betas=betas, transfer=transfer, chains=chains, block=block, spin=spin)
 
 

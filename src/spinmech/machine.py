@@ -171,7 +171,7 @@ class MachineStack:
         state_of = np.full(chains.space.size, -1)
         state_of[members] = assignments
         if self.kind == "block":
-            symbols = tuple(int(b) for b in members)
+            symbols = tuple(members.tolist())
             emitted = self.emission[p][np.ix_(members, members)]
             targets = np.broadcast_to(state_of[members], emitted.shape)
         else:
@@ -180,21 +180,35 @@ class MachineStack:
             targets = state_of[self.successor[members]]
         targets = np.where(emitted > SUPPORT_FLOOR, targets, -1)
         pi = chains.pi[p, members]
+        # members by causal state, in member order within each state: the
+        # order in which the per-state sums below add them
+        order = np.argsort(assignments, kind="stable")
+        sizes = np.bincount(assignments)
+        starts = np.cumsum(sizes) - sizes
+        # a state's total is 0 plus the pairwise sum of its weights, as
+        # sum() forms it: reduceat over a zero put before each state
+        padded = np.zeros(len(members) + len(reps))
+        padded[np.arange(len(members)) + assignments[order] + 1] = pi[order]
+        total = np.add.reduceat(padded, starts + np.arange(len(reps)))
+        weighed = total > 0.0
+        share = np.where(
+            weighed[assignments],
+            pi / np.where(weighed, total, 1.0)[assignments],
+            1.0 / sizes[assignments],
+        )
+        # add.at adds the rows in member order, as sum(axis=0) does
         emission = np.zeros((len(reps), len(symbols)))
-        successor = np.full((len(reps), len(symbols)), -1)
-        for r in range(len(reps)):
-            rows = assignments == r
-            w = pi[rows]
-            total = w.sum()
-            share = w / total if total > 0.0 else np.full(len(w), 1.0 / len(w))
-            emission[r] = (share[:, np.newaxis] * emitted[rows]).sum(axis=0)
-            # the partition is stable, so every member emitting a symbol
-            # moves to the same causal state
-            successor[r] = np.where(emission[r] > SUPPORT_FLOOR, targets[rows].max(axis=0), -1)
+        np.add.at(emission, assignments, share[:, np.newaxis] * emitted)
+        # the partition is stable, so every member emitting a symbol
+        # moves to the same causal state
+        reached = np.maximum.reduceat(targets[order], starts, axis=0)
+        successor = np.where(emission > SUPPORT_FLOOR, reached, -1)
+        flat = members[order].tolist()
+        bounds = zip(starts.tolist(), sizes.tolist())
         partition = CausalPartition(
             members=members,
             assignments=assignments,
-            states=tuple(tuple(members[assignments == r].tolist()) for r in range(len(reps))),
+            states=tuple(tuple(flat[lo : lo + n]) for lo, n in bounds),
             probs=self.probs[p, reps],
         )
         return Machine(

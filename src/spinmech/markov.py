@@ -176,6 +176,29 @@ def invert_stack(
     errors: list,
 ) -> ChainStack:
     """solve_stochastic for a (P, S, S) stack; failures go to ``errors``."""
+    return chain_stack(space, *_invert(log_v, log_right, log_left, errors))
+
+
+def block_and_window_stacks(
+    space: BlockSpace,
+    log_v: np.ndarray,
+    log_right: np.ndarray,
+    log_left: np.ndarray,
+    errors: list,
+) -> tuple[ChainStack, ChainStack]:
+    """invert_stack's block chains and window_stack's window chains of
+    them (n >= 2), from one class decomposition of both."""
+    matrix, limit_mass, residual = _invert(log_v, log_right, log_left, errors)
+    return _chain_stacks(
+        space, (matrix, _window_matrices(space, matrix)), limit_mass, (residual, None)
+    )
+
+
+def _invert(
+    log_v: np.ndarray, log_right: np.ndarray, log_left: np.ndarray, errors: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified (P, S, S) block matrices, their limit masses and
+    consistency bounds; failures go to ``errors``."""
     log_rows = log_v + log_right[:, np.newaxis, :]
     norms = logsumexp(log_rows, axis=2)
     matrix = np.exp(log_rows - norms[:, :, np.newaxis])
@@ -213,7 +236,7 @@ def invert_stack(
     matrix[failed] = 1.0 / matrix.shape[1]
 
     mass = np.exp(log_left + log_right)
-    return chain_stack(space, matrix, mass / mass.sum(axis=1, keepdims=True), residual)
+    return matrix, mass / mass.sum(axis=1, keepdims=True), residual
 
 
 def chain_stack(
@@ -228,26 +251,47 @@ def chain_stack(
     Classes are weighted by the transfer-level stationary mass
     ``limit_mass`` they carry, or evenly when it carries none.
     """
-    labels, in_class, rows = _decompose(matrix, SUPPORT_FLOOR)
+    return _chain_stacks(space, (matrix,), limit_mass, (residual,))[0]
+
+
+def _chain_stacks(
+    space: BlockSpace,
+    matrices: tuple[np.ndarray, ...],
+    limit_mass: np.ndarray,
+    residuals: tuple[np.ndarray | None, ...],
+) -> tuple[ChainStack, ...]:
+    """chain_stack of each (P, S, S) stack in ``matrices``, all weighted by
+    one ``limit_mass``, from one decomposition of them stacked end to end:
+    every point's arithmetic uses its own slices, so each result is the
+    one chain_stack gives that stack alone."""
+    labels, in_class, rows = _decompose(np.concatenate(matrices), SUPPORT_FLOOR)
     pi = _class_stationary(rows, labels, in_class)
 
-    mass = (limit_mass[:, :, np.newaxis] * in_class).sum(axis=1)
+    masses = np.concatenate((limit_mass,) * len(matrices))
+    mass = (masses[:, :, np.newaxis] * in_class).sum(axis=1)
     total = mass.sum(axis=1, keepdims=True)
     n_classes = labels.max(axis=1, keepdims=True) + 1
     even = (np.arange(labels.shape[1]) < n_classes) / n_classes
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(np.isfinite(total) & (total > 0.0), mass / total, even)
-    return ChainStack(
-        space=space,
-        matrix=matrix,
-        limit_mass=limit_mass,
-        labels=labels,
-        in_class=in_class,
-        pi=pi,
-        weights=weights,
-        rows=rows,
-        residual=residual,
-    )
+    stacks = []
+    n_points = len(limit_mass)
+    for k, (matrix, residual) in enumerate(zip(matrices, residuals)):
+        part = slice(k * n_points, (k + 1) * n_points)
+        stacks.append(
+            ChainStack(
+                space=space,
+                matrix=matrix,
+                limit_mass=limit_mass,
+                labels=labels[part],
+                in_class=in_class[part],
+                pi=pi[part],
+                weights=weights[part],
+                rows=rows[part],
+                residual=residual,
+            )
+        )
+    return tuple(stacks)
 
 
 def class_decomposition(matrix: np.ndarray, floor: float = SUPPORT_FLOOR) -> ClassDecomposition:
@@ -277,6 +321,11 @@ def window_chain(chain: BlockChain) -> BlockChain:
 
 def window_stack(space: BlockSpace, matrix: np.ndarray, limit_mass: np.ndarray) -> ChainStack:
     """window_chain for a (P, S, S) stack of block chains with n >= 2."""
+    return chain_stack(space, _window_matrices(space, matrix), limit_mass, residual=None)
+
+
+def _window_matrices(space: BlockSpace, matrix: np.ndarray) -> np.ndarray:
+    """Window transition matrices of a (P, S, S) stack of block chains."""
     theta = space.alphabet.size
     size = space.size
     n_points = matrix.shape[0]
@@ -284,7 +333,7 @@ def window_stack(space: BlockSpace, matrix: np.ndarray, limit_mass: np.ndarray) 
     windows = np.zeros((n_points, size, size))
     windows[:, np.arange(size)[:, np.newaxis], space.shift_table] = emit
     windows /= windows.sum(axis=2, keepdims=True)
-    return chain_stack(space, windows, limit_mass, residual=None)
+    return windows
 
 
 def restrict_to_class(chain: BlockChain, class_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,9 +404,12 @@ def _class_stationary(rows: np.ndarray, labels: np.ndarray, in_class: np.ndarray
     root[:, 0] = True
     for k in range(size - 1, 0, -1):
         s = a[:, :k, k].sum(axis=1)
-        root[:, k] = s <= 0.0
-        s = np.where(root[:, k], 1.0, s)
-        a[:, k, :k] = np.where(root[:, k, np.newaxis], 0.0, a[:, k, :k] / s[:, np.newaxis])
+        rooted = s <= 0.0
+        if rooted.any():
+            # a root sends no mass to lower states: its update adds zeros
+            root[:, k] = rooted
+            s[rooted] = 1.0
+        a[:, k, :k] /= s[:, np.newaxis]
         a[:, :k, :k] += a[:, :k, k, np.newaxis] * a[:, k, np.newaxis, :k]
     pi = np.zeros((n_points, size))
     pi[:, 0] = 1.0

@@ -249,7 +249,9 @@ def _perron_stack(
         refine &= np.array([e is None for e in errors])
         if refine.any():
             log_lambda0[refine], log_right[refine] = _log_refine(log_v[refine], log_right[refine])
-            lam[refine] = np.exp(log_lambda0[refine] - chi[refine])
+            # a root past the float range is left to _relative_residual
+            with np.errstate(over="ignore"):
+                lam[refine] = np.exp(log_lambda0[refine] - chi[refine])
             shifted = log_right[refine] - potentials[refine]
             vec[refine] = np.exp(shifted - shifted.max(axis=1, keepdims=True))
 
@@ -358,6 +360,12 @@ def _cluster_projection(
 
 
 def _relative_residual(w: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    infinite = np.isinf(lam)
+    if infinite.any():
+        # against an infinite root, W v is nothing beside lam v: the
+        # relative residual takes its limit, 1
+        residual = _relative_residual(w, np.where(infinite, 1.0, lam), vec)
+        return np.where(infinite, 1.0, residual)
     err = np.max(np.abs((w * vec[:, np.newaxis, :]).sum(axis=2) - lam[:, np.newaxis] * vec), axis=1)
     return err / (np.abs(lam) * np.max(np.abs(vec), axis=1))
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import spinmech
 from spinmech.analysis import analyze
-from spinmech.errors import SpinmechError
+from spinmech.errors import ConvergenceError, SpinmechError
 from spinmech.hamiltonian import Hamiltonian
 from spinmech.info import log_matvec
 from spinmech.lattice import BINARY, BlockSpace, SpinAlphabet
@@ -217,6 +218,25 @@ def test_refinement_ends_where_it_neither_settles_nor_stalls():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ConvergenceError"] * len(UNENDING_POINTS)
+
+
+def test_root_past_the_float_range_fails_with_a_residual_and_no_warning():
+    # the refinement settles at log root 11704.6, whose exp in the balanced
+    # frame overflows; the relative residual of an infinite root is its
+    # limit, 1, and the point fails on it as a ConvergenceError
+    couplings = [
+        1.0830065946919634,
+        -1.2696243897996338,
+        -1.3190326492066522,
+        -0.10732511234496567,
+        -0.5741673748452769,
+    ]
+    model = Hamiltonian.pair_product(BlockSpace(BINARY, 5), 2.0755956330683025, couplings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError) as err:
+            analyze(model, GROUND_STATE_BETA)
+    assert err.value.residual == 1.0
 
 
 def test_perron_projection_limit():
