@@ -10,7 +10,6 @@ the others in its stack, so rows are bit-identical for a given config +
 seed whatever the chunk boundaries or the number of processes.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -31,14 +30,8 @@ from .hamiltonian import (
 )
 from .info import _STACK_ENTRIES
 from .lattice import BlockSpace, SpinAlphabet
-from .machine import MachineSet, MachineStack, block_stack, spin_stack
-from .markov import (
-    BlockChain,
-    ChainStack,
-    block_and_window_stacks,
-    class_members,
-    invert_stack,
-)
+from .machine import MachineSet, MachineStack, machine_stacks
+from .markov import BlockChain, ChainStack, class_members, invert_stack
 from .models import NN_SPACE, NNN_SPACE, PBRWParams, pbrw_couplings
 from .transfer import GROUND_STATE_BETA, TransferStack, transfer_stack
 
@@ -144,20 +137,13 @@ class PointStack:
 
     def result(self, p: int) -> PointResult:
         chain = self.chains.chain(p)
-        block = self.block.machine_set(p, chain.classes)
-        if self.spin is self.block:
-            # windows of one spin are the blocks themselves; the spin machine
-            # is the block machine read per spin
-            spin = dataclasses.replace(block, kind="spin")
-        else:
-            spin = self.spin.machine_set(p, class_members(self.spin.chains.labels[p]))
         return PointResult(
             beta=float(self.betas[p]),
             log_lambda0=float(self.transfer.log_lambda0[p]),
             max_residual=chain.consistency_residual,
             chain=chain,
-            block=block,
-            spin=spin,
+            block=self.block.machine_set(p, chain.classes),
+            spin=self.spin.machine_set(p, class_members(self.spin.chains.labels[p])),
         )
 
     def metric_columns(self) -> dict[str, list]:
@@ -186,14 +172,10 @@ def evaluate_stack(
     intra and (P, S, S) cross energies; a point that fails gets its typed
     error in ``errors`` and leaves the others untouched."""
     transfer = transfer_stack(space, x, y, betas, errors)
-    perron = (transfer.log_v, transfer.log_right, transfer.log_left, errors)
-    if space.n == 1:
-        chains = invert_stack(space, *perron)
-        block = spin = block_stack(chains, errors)
-    else:
-        chains, windows = block_and_window_stacks(space, *perron)
-        block = block_stack(chains, errors)
-        spin = spin_stack(windows, errors)
+    chains, windows = invert_stack(
+        space, transfer.log_v, transfer.log_right, transfer.log_left, errors
+    )
+    block, spin = machine_stacks(chains, windows, errors)
     return PointStack(betas=betas, transfer=transfer, chains=chains, block=block, spin=spin)
 
 
@@ -529,11 +511,20 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     return names, [row for part in parts for row in part]
 
 
+def _unit_scale(units: str) -> float:
+    """Entropies are computed in bits; the factor that reports them in ``units``."""
+    if units == "bits":
+        return 1.0
+    if units == "nats":
+        return LN2
+    raise ConfigError(f"output.units must be bits or nats, got {units!r}")
+
+
 def format_csv(names: list[str], rows: list[dict], units: str = "bits") -> str:
     """Render sweep rows as CSV with a header; floats use shortest repr."""
     header = ["index"] + names + CSV_METRIC_COLUMNS
     lines = [",".join(header)]
-    scale = LN2 if units == "nats" else 1.0
+    scale = _unit_scale(units)
     entropic = {"C_mu", "h_mu", "E_mu", "E_paper", "C_mu_spin", "h_mu_spin", "E_spin"}
     for index, row in enumerate(rows):
         cells = [str(index)]
@@ -555,7 +546,7 @@ def format_csv(names: list[str], rows: list[dict], units: str = "bits") -> str:
 
 def metrics_document(config: dict, result: PointResult, units: str = "bits") -> dict:
     """Self-describing JSON document for one analyzed point."""
-    scale = LN2 if units == "nats" else 1.0
+    scale = _unit_scale(units)
 
     def classes(mset: MachineSet) -> list[dict]:
         out = []

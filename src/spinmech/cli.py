@@ -136,7 +136,10 @@ def _prepared_config(args) -> dict:
 def _units(args, cfg: dict) -> str:
     if getattr(args, "nats", False):
         return "nats"
-    return cfg.get("output", {}).get("units", "bits")
+    output = cfg.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output section must be a JSON object")
+    return output.get("units", "bits")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -179,6 +182,8 @@ def _cmd_machine(args) -> int:
 def _cmd_sample(args) -> int:
     _at_least(args.blocks, 1, "--blocks")
     _at_least(args.seed, 0, "--seed")
+    if args.class_index is not None:
+        _at_least(args.class_index, 0, "--class-index")
     cfg = _prepared_config(args)
     hamiltonian, beta = hamiltonian_from_config(cfg.get("model"), cfg.get("parameters", {}))
     chain = solve_stochastic(build_transfer(hamiltonian, beta))

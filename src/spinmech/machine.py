@@ -9,6 +9,7 @@ necessary condition and the partition is refined until emitting a spin
 maps whole states onto whole states.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,9 @@ from .markov import (
     SUPPORT_FLOOR,
     BlockChain,
     ChainStack,
-    chain_stack,
+    chains_and_windows,
     class_members,
     closure,
-    window_stack,
 )
 
 # Rows closer than this (max-norm) condition the same future.
@@ -229,22 +229,40 @@ class MachineStack:
 
 def block_machines(chain: BlockChain) -> MachineSet:
     """Block-emitting machines, one per recurrent class."""
+    chains, _ = chains_and_windows(chain.space, chain.matrix[None], chain.limit_mass[None], None)
     errors = [None]
-    stack = block_stack(_chain_stack_of(chain), errors)
+    stack = block_stack(chains, errors)
     raise_first(errors)
     return stack.machine_set(0, chain.classes)
 
 
 def spin_machines(chain: BlockChain) -> MachineSet:
     """Spin-emitting machines over sliding windows, one per recurrent class."""
-    if chain.space.n == 1:
-        windows = _chain_stack_of(chain)
-    else:
-        windows = window_stack(chain.space, chain.matrix[None], chain.limit_mass[None])
+    chains, windows = chains_and_windows(
+        chain.space, chain.matrix[None], chain.limit_mass[None], None
+    )
     errors = [None]
-    stack = spin_stack(windows, errors)
+    _, stack = machine_stacks(chains, windows, errors)
     raise_first(errors)
-    return stack.machine_set(0, class_members(windows.labels[0]))
+    return stack.machine_set(0, class_members(stack.chains.labels[0]))
+
+
+def machine_stacks(
+    chains: ChainStack, windows: ChainStack, errors: list
+) -> tuple[MachineStack, MachineStack]:
+    """Block and spin machines of a stack's block chains and their window
+    chains, as markov.chains_and_windows gives them.
+
+    Windows of one spin are the blocks: for n = 1 the spin machines are
+    the block machines read per spin, emitting spin s being emitting
+    block s.
+    """
+    block = block_stack(chains, errors)
+    if chains.space.n == 1:
+        spin = dataclasses.replace(block, kind="spin", successor=chains.space.shift_table)
+    else:
+        spin = spin_stack(windows, errors)
+    return block, spin
 
 
 def block_stack(chains: ChainStack, errors: list) -> MachineStack:
@@ -255,14 +273,10 @@ def block_stack(chains: ChainStack, errors: list) -> MachineStack:
 
 
 def spin_stack(windows: ChainStack, errors: list) -> MachineStack:
-    """Spin machines of a stack of window chains (block chains for n = 1)."""
+    """Spin machines of a stack of window chains with n >= 2."""
     successor = windows.space.shift_table
     emission = windows.matrix[:, np.arange(len(successor))[:, np.newaxis], successor]
     return _machine_stack("spin", windows, emission, successor, errors)
-
-
-def _chain_stack_of(chain: BlockChain) -> ChainStack:
-    return chain_stack(chain.space, chain.matrix[None], chain.limit_mass[None], residual=None)
 
 
 def _machine_stack(

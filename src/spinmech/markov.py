@@ -161,11 +161,12 @@ def solve_stochastic(ts: TransferSystem) -> BlockChain:
     naming a triple where the bound bites.
     """
     errors = [None]
-    stack = invert_stack(
-        ts.hamiltonian.blocks, ts.log_v[None], ts.log_right[None], ts.log_left[None], errors
+    matrix, limit_mass, residual = _invert(
+        ts.log_v[None], ts.log_right[None], ts.log_left[None], errors
     )
     raise_first(errors)
-    return stack.chain(0)
+    (chains,) = _chain_stacks(ts.hamiltonian.blocks, (matrix,), limit_mass, (residual,))
+    return chains.chain(0)
 
 
 def invert_stack(
@@ -174,21 +175,27 @@ def invert_stack(
     log_right: np.ndarray,
     log_left: np.ndarray,
     errors: list,
-) -> ChainStack:
-    """solve_stochastic for a (P, S, S) stack; failures go to ``errors``."""
-    return chain_stack(space, *_invert(log_v, log_right, log_left, errors))
-
-
-def block_and_window_stacks(
-    space: BlockSpace,
-    log_v: np.ndarray,
-    log_right: np.ndarray,
-    log_left: np.ndarray,
-    errors: list,
 ) -> tuple[ChainStack, ChainStack]:
-    """invert_stack's block chains and window_stack's window chains of
-    them (n >= 2), from one class decomposition of both."""
-    matrix, limit_mass, residual = _invert(log_v, log_right, log_left, errors)
+    """solve_stochastic for a (P, S, S) stack, with the window chains of
+    its block chains; failures go to ``errors``."""
+    return chains_and_windows(space, *_invert(log_v, log_right, log_left, errors))
+
+
+def chains_and_windows(
+    space: BlockSpace,
+    matrix: np.ndarray,
+    limit_mass: np.ndarray,
+    residual: np.ndarray | None,
+) -> tuple[ChainStack, ChainStack]:
+    """The block chains of a (P, S, S) stack of block matrices and their
+    window chains, from one class decomposition of both.
+
+    Windows of one spin are the blocks: for n = 1 the window chains are
+    the block ChainStack itself.
+    """
+    if space.n == 1:
+        (chains,) = _chain_stacks(space, (matrix,), limit_mass, (residual,))
+        return chains, chains
     return _chain_stacks(
         space, (matrix, _window_matrices(space, matrix)), limit_mass, (residual, None)
     )
@@ -239,32 +246,21 @@ def _invert(
     return matrix, mass / mass.sum(axis=1, keepdims=True), residual
 
 
-def chain_stack(
-    space: BlockSpace,
-    matrix: np.ndarray,
-    limit_mass: np.ndarray,
-    residual: np.ndarray | None,
-) -> ChainStack:
-    """Recurrent classes, per-class stationaries and class weights of a
-    (P, S, S) stack of row-stochastic matrices.
-
-    Classes are weighted by the transfer-level stationary mass
-    ``limit_mass`` they carry, or evenly when it carries none.
-    """
-    return _chain_stacks(space, (matrix,), limit_mass, (residual,))[0]
-
-
 def _chain_stacks(
     space: BlockSpace,
     matrices: tuple[np.ndarray, ...],
     limit_mass: np.ndarray,
     residuals: tuple[np.ndarray | None, ...],
 ) -> tuple[ChainStack, ...]:
-    """chain_stack of each (P, S, S) stack in ``matrices``, all weighted by
-    one ``limit_mass``, from one decomposition of them stacked end to end:
-    every point's arithmetic uses its own slices, so each result is the
-    one chain_stack gives that stack alone."""
-    labels, in_class, rows = _decompose(np.concatenate(matrices), SUPPORT_FLOOR)
+    """Recurrent classes, per-class stationaries and class weights of each
+    (P, S, S) stack of row-stochastic matrices in ``matrices``, from one
+    decomposition of them stacked end to end. Every point's arithmetic
+    uses its own slices, so each result is the one that stack alone gives.
+
+    Classes are weighted by the transfer-level stationary mass
+    ``limit_mass`` they carry, or evenly when it carries none.
+    """
+    labels, in_class, rows = _decompose(np.concatenate(matrices))
     pi = _class_stationary(rows, labels, in_class)
 
     masses = np.concatenate((limit_mass,) * len(matrices))
@@ -294,9 +290,9 @@ def _chain_stacks(
     return tuple(stacks)
 
 
-def class_decomposition(matrix: np.ndarray, floor: float = SUPPORT_FLOOR) -> ClassDecomposition:
+def class_decomposition(matrix: np.ndarray) -> ClassDecomposition:
     """Recurrent classes, their stationary vectors, and the transient states."""
-    labels, in_class, rows = _decompose(matrix[None], floor)
+    labels, in_class, rows = _decompose(matrix[None])
     pi = _class_stationary(rows, labels, in_class)[0]
     classes = class_members(labels[0])
     return ClassDecomposition(
@@ -316,12 +312,9 @@ def window_chain(chain: BlockChain) -> BlockChain:
     """
     if chain.space.n == 1:
         return chain
-    return window_stack(chain.space, chain.matrix[None], chain.limit_mass[None]).chain(0)
-
-
-def window_stack(space: BlockSpace, matrix: np.ndarray, limit_mass: np.ndarray) -> ChainStack:
-    """window_chain for a (P, S, S) stack of block chains with n >= 2."""
-    return chain_stack(space, _window_matrices(space, matrix), limit_mass, residual=None)
+    windows = _window_matrices(chain.space, chain.matrix[None])
+    (stack,) = _chain_stacks(chain.space, (windows,), chain.limit_mass[None], (None,))
+    return stack.chain(0)
 
 
 def _window_matrices(space: BlockSpace, matrix: np.ndarray) -> np.ndarray:
@@ -362,18 +355,19 @@ def closure(edges: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _decompose(matrix: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class labels, class membership and class-restricted rows of a stack."""
-    labels = _classes(matrix, floor)
+    labels = _classes(matrix)
     in_class = labels[:, :, np.newaxis] == np.arange(labels.shape[1])
     return labels, in_class, _class_rows(matrix, labels)
 
 
-def _classes(matrix: np.ndarray, floor: float) -> np.ndarray:
-    """Recurrent-class labels of a (P, S, S) stack: entries above ``floor``
-    are edges, a strongly connected component no edge leaves is a class."""
+def _classes(matrix: np.ndarray) -> np.ndarray:
+    """Recurrent-class labels of a (P, S, S) stack: entries above
+    SUPPORT_FLOOR are edges, a strongly connected component no edge leaves
+    is a class."""
     size = matrix.shape[1]
-    reach = closure(matrix > floor)
+    reach = closure(matrix > SUPPORT_FLOOR)
     back = reach.transpose(0, 2, 1)
     recurrent = ~(reach & ~back).any(axis=2)
     first = np.argmax(reach & back, axis=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -21,6 +22,8 @@ from spinmech.analysis import (
 )
 from spinmech.errors import ConfigError
 from spinmech.hamiltonian import Hamiltonian
+from spinmech.lattice import BINARY, BlockSpace, SpinAlphabet
+from spinmech.machine import block_machines, spin_machines
 from spinmech.models import NNParams, nn_ising
 from spinmech.transfer import GROUND_STATE_BETA
 
@@ -146,6 +149,55 @@ def test_analyze_range_three_chain():
     assert result.h_mu == pytest.approx(3.0 * result.h_mu_spin, abs=1e-9)
     assert result.c_mu == pytest.approx(result.c_mu_spin, abs=1e-9)
     assert result.e_mu >= 0.0
+
+
+def _assert_same_fields(got, want):
+    """Dataclass fields equal bit for bit, arrays by dtype, shape and bytes."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(b):
+            _assert_same_fields(a, b)
+        elif isinstance(b, tuple) and b and dataclasses.is_dataclass(b[0]):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                _assert_same_fields(x, y)
+        elif isinstance(b, (np.ndarray, float)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
+
+
+# (alphabet, field, product couplings, beta): at beta = inf the block
+# chains of the range-1 ferromagnet and of the range-2 J1 = 1, J2 = -1
+# chain have two classes, and the range-3 chain has transient blocks
+SAME_MACHINE_POINTS = [
+    pytest.param(BINARY, 0.2, [0.3], 1.0, id="range1"),
+    pytest.param(BINARY, 0.0, [1.0], GROUND_STATE_BETA, id="range1-ferro-inf"),
+    pytest.param(BINARY, 0.5, [-1.0], GROUND_STATE_BETA, id="range1-antiferro-inf"),
+    pytest.param(SpinAlphabet((-1.0, 0.0, 1.0)), 0.3, [0.6], 0.8, id="range1-ternary"),
+    pytest.param(BINARY, 0.1, [0.5, 0.3], 1.0, id="range2"),
+    pytest.param(BINARY, 0.0, [1.0, -1.0], GROUND_STATE_BETA, id="range2-inf"),
+    pytest.param(BINARY, -0.2, [0.8, -0.4, 0.2], 0.7, id="range3"),
+    pytest.param(BINARY, 0.3, [0.9, -1.1, 1.0], GROUND_STATE_BETA, id="range3-inf"),
+]
+
+
+@pytest.mark.parametrize("alphabet, field, couplings, beta", SAME_MACHINE_POINTS)
+def test_analyze_gives_the_machines_of_its_chain(alphabet, field, couplings, beta):
+    space = BlockSpace(alphabet, len(couplings))
+    result = analyze(Hamiltonian.pair_product(space, field, couplings), beta)
+    _assert_same_fields(result.block, block_machines(result.chain))
+    _assert_same_fields(result.spin, spin_machines(result.chain))
+    assert result.spin.kind == "spin"
+    for machine in result.spin.machines:
+        assert machine.kind == "spin"
+        assert machine.symbols == tuple(range(alphabet.size))
+    if beta == GROUND_STATE_BETA and field == 0.0:
+        assert result.block.n_classes == 2
+    if len(couplings) == 3 and beta == GROUND_STATE_BETA:
+        assert result.chain.transients.size > 0
 
 
 def test_analyze_beta_zero_exactly():

@@ -268,6 +268,43 @@ def test_bad_sample_and_validate_values_exit_one(nn_config, capsys):
         assert err.count("\n") == 1 and "error: argument --" in err, command
 
 
+def test_negative_class_index_exits_one(nn_config, capsys):
+    command = ["sample", "-c", str(nn_config), "--blocks", "10", "--seed", "1"]
+    assert main(command + ["--class-index", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: argument --class-index" in err
+    assert main(command + ["--class-index", "0"]) == 0
+    # an index past the last class is the chain's failure, not a usage error
+    assert main(command + ["--class-index", "1"]) == 2
+
+
+def test_unknown_units_exit_one(nn_config, tmp_path, capsys):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(
+        json.dumps(
+            {
+                "model": {"preset": "nn"},
+                "parameters": {"beta": 1.0, "B": 0.0},
+                "sweep": {
+                    "mode": "grid",
+                    "parameters": {"J": {"low": 0.0, "high": 1.0, "count": 2}},
+                },
+            }
+        )
+    )
+    for command in (["analyze", "-c", str(nn_config)], ["sweep", "-c", str(sweep), "--jobs", "1"]):
+        for units in ("Nats", "bit", "5"):
+            assert main(command + ["--set", f"output.units={units}"]) == 1, (command, units)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "output.units" in captured.err
+        for units in ("bits", "nats"):
+            assert main(command + ["--set", f"output.units={units}"]) == 0
+            capsys.readouterr()
+        assert main(command + ["--set", "output=nats"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_usage_errors_exit_one(nn_config):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "-c", str(nn_config)])  # missing --blocks/--seed

@@ -129,8 +129,7 @@ def test_blocked_kernels_match_unblocked_arithmetic(make_stack, monkeypatch):
     space, transfers = make_stack()
     log_v, log_right, log_left = _transfer_arrays(transfers)
     points, size = log_v.shape[:2]
-    chains = markov.invert_stack(space, log_v, log_right, log_left, [None] * points)
-    windows = markov.window_stack(space, chains.matrix, chains.limit_mass)
+    chains, windows = markov.invert_stack(space, log_v, log_right, log_left, [None] * points)
 
     spin_emission = windows.matrix[:, np.arange(size)[:, np.newaxis], space.shift_table]
     grouped = [

@@ -3,7 +3,7 @@ elimination of ``markov._class_stationary`` as it stepped before, and the
 causal-state loop of ``MachineStack._machine``. The leaner elimination and
 the grouped reads must equal them bit for bit, every field of every
 machine; and one class decomposition of the block and window chains
-stacked together must equal two separate ``chain_stack`` calls."""
+stacked together must equal a decomposition of each alone."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from spinmech import markov
 from spinmech.analysis import evaluate_stack
 from spinmech.hamiltonian import Hamiltonian
 from spinmech.lattice import BINARY, BlockSpace
-from spinmech.machine import block_stack, spin_stack
+from spinmech.machine import machine_stacks
 from spinmech.markov import SUPPORT_FLOOR
 from spinmech.transfer import GROUND_STATE_BETA, transfer_stack
 
@@ -128,6 +128,13 @@ ORDERED = [
         ],
     ),
 ]
+# nearest neighbours, where the spin machines are the block machines read
+# per spin: the beta = inf ferromagnet has two classes, the field-free
+# antiferromagnet one class of period two
+NEAREST = (
+    1,
+    [(0.2, [0.3], 1.0), (0.0, [1.0], GROUND_STATE_BETA), (0.0, [-1.0], GROUND_STATE_BETA)],
+)
 # at beta = 0 all 64 blocks are one causal state
 UNIFORM = (6, [(0.3, [0.7, -0.4, 0.3, 0.2, -0.1, 0.05], 0.0)])
 
@@ -172,10 +179,8 @@ def _decomposed_stacks():
     out = []
     for make_stack in STACKS:
         space, log_v, log_right, log_left = _kernel_stack(make_stack.values[0])
-        chains = markov.invert_stack(space, log_v, log_right, log_left, [None] * len(log_v))
-        out.append(chains)
-        out.append(markov.window_stack(space, chains.matrix, chains.limit_mass))
-    for n, points in REDUCIBLE + ORDERED + [UNIFORM]:
+        out += markov.invert_stack(space, log_v, log_right, log_left, [None] * len(log_v))
+    for n, points in [NEAREST] + REDUCIBLE + ORDERED + [UNIFORM]:
         stack = _pipeline(n, points)
         out += [stack.chains, stack.spin.chains]
     return out
@@ -193,6 +198,15 @@ def test_gth_elimination_matches_the_reference_loop():
     # transient states and the smallest members of later classes are the
     # roots past state 0, where the elimination takes its root branch
     assert transients and several
+
+
+def _separate(space, log_v, log_right, log_left, errors):
+    """The block and window chains, each from a class decomposition of its own."""
+    matrix, limit_mass, residual = markov._invert(log_v, log_right, log_left, errors)
+    (chains,) = markov._chain_stacks(space, (matrix,), limit_mass, (residual,))
+    windows = markov._window_matrices(space, matrix)
+    (alone,) = markov._chain_stacks(space, (windows,), limit_mass, (None,))
+    return chains, alone
 
 
 def _sliced(stack, p):
@@ -213,15 +227,14 @@ def test_merged_decomposition_equals_two_chain_stacks(n_points):
     errors = [None] * n_points
     transfer = transfer_stack(space, x, y, betas, errors)
     perron = (transfer.log_v, transfer.log_right, transfer.log_left)
-    chains, windows = markov.block_and_window_stacks(space, *perron, list(errors))
-    # the two chain_stack calls of invert_stack and window_stack
-    separate = markov.invert_stack(space, *perron, list(errors))
+    chains, windows = markov.invert_stack(space, *perron, list(errors))
+    separate, separate_windows = _separate(space, *perron, list(errors))
     _assert_same_chains(chains, separate)
-    _assert_same_chains(windows, markov.window_stack(space, separate.matrix, separate.limit_mass))
+    _assert_same_chains(windows, separate_windows)
     # and every point of the stack as a stack of one
     for p in range(n_points):
         one = [array[p : p + 1] for array in perron]
-        chain, window = markov.block_and_window_stacks(space, *one, [None])
+        chain, window = markov.invert_stack(space, *one, [None])
         _assert_same_chains(chain, _sliced(chains, p))
         _assert_same_chains(window, _sliced(windows, p))
     if n_points == 16:
@@ -233,10 +246,11 @@ def test_merged_decomposition_on_reducible_fixtures():
     for make_stack in STACKS:
         space, log_v, log_right, log_left = _kernel_stack(make_stack.values[0])
         errors = [None] * len(log_v)
-        chains, windows = markov.block_and_window_stacks(space, log_v, log_right, log_left, errors)
-        separate = markov.invert_stack(space, log_v, log_right, log_left, [None] * len(log_v))
+        chains, windows = markov.invert_stack(space, log_v, log_right, log_left, errors)
+        separate, separate_windows = _separate(
+            space, log_v, log_right, log_left, [None] * len(log_v)
+        )
         _assert_same_chains(chains, separate)
-        separate_windows = markov.window_stack(space, separate.matrix, separate.limit_mass)
         _assert_same_chains(windows, separate_windows)
 
 
@@ -244,12 +258,9 @@ def _machine_stacks():
     for make_stack in STACKS:
         space, log_v, log_right, log_left = _kernel_stack(make_stack.values[0])
         errors = [None] * len(log_v)
-        chains, windows = markov.block_and_window_stacks(
-            space, log_v, log_right, log_left, errors
-        )
-        yield block_stack(chains, errors)
-        yield spin_stack(windows, errors)
-    for n, points in REDUCIBLE + ORDERED + [UNIFORM]:
+        chains, windows = markov.invert_stack(space, log_v, log_right, log_left, errors)
+        yield from machine_stacks(chains, windows, errors)
+    for n, points in [NEAREST] + REDUCIBLE + ORDERED + [UNIFORM]:
         stack = _pipeline(n, points)
         yield stack.block
         yield stack.spin
