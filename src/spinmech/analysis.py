@@ -19,7 +19,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, NumericDomainError, SpinmechError, raise_first, record_failures
+from .errors import (
+    ConfigError,
+    LimitParameterError,
+    NumericDomainError,
+    SpinmechError,
+    raise_first,
+    record_failures,
+)
 from .hamiltonian import (
     Hamiltonian,
     check_couplings,
@@ -32,7 +39,7 @@ from .info import _STACK_ENTRIES
 from .lattice import BlockSpace, SpinAlphabet
 from .machine import MachineSet, MachineStack, machine_stacks
 from .markov import BlockChain, ChainStack, class_members, invert_stack
-from .models import NN_SPACE, NNN_SPACE, PBRWParams, pbrw_couplings
+from .models import NN_SPACE, NNN_SPACE, PBRW_LIMITS, PBRWParams, pbrw_couplings, pbrw_inside
 from .transfer import GROUND_STATE_BETA, TransferStack, transfer_stack
 
 # The single-point stage functions stay reachable through this module,
@@ -183,12 +190,6 @@ def evaluate_stack(
 # configuration handling
 # ----------------------------------------------------------------------
 
-PRESET_PARAMETERS = {
-    "nn": ("beta", "J", "B"),
-    "nnn": ("beta", "J1", "J2", "B"),
-    "pbrw": ("p", "r"),
-}
-
 
 def load_config(path: str) -> dict:
     try:
@@ -250,31 +251,37 @@ def _float_list(value) -> list:
     return list(np.asarray(value, dtype=float))
 
 
-def resolve_beta(raw) -> float:
-    """Numeric beta, with 'inf' mapping to the ground-state stand-in."""
+def resolve_beta(raw):
+    """Numeric beta, with 'inf' and +inf mapping to the ground-state
+    stand-in; an array of swept betas maps elementwise. A negative beta,
+    -inf included, passes through and fails downstream."""
+    if isinstance(raw, np.ndarray):
+        return np.where(raw == math.inf, GROUND_STATE_BETA, raw)
     if isinstance(raw, str):
         if raw.lower() in ("inf", "infinity"):
             return GROUND_STATE_BETA
         raise ConfigError(f"beta must be a number or 'inf', got {raw!r}")
     beta = _number(raw, "beta")
-    if math.isinf(beta):
-        return GROUND_STATE_BETA
-    return beta
+    return GROUND_STATE_BETA if beta == math.inf else beta
 
 
 def hamiltonian_from_config(model: dict, parameters: dict) -> tuple[Hamiltonian, float]:
-    """Build a model and its beta from the config sections."""
-    _check_model(model)
-    if not isinstance(parameters, dict):
-        raise ConfigError("parameters section must be a JSON object")
-    space = _model_space(model)
-    beta, field, couplings = _point_terms(model["preset"], space, parameters)
-    return Hamiltonian(space, field, couplings), beta
+    """Build a model and its beta from the config sections: the sweep's
+    parser, run on one point with nothing swept."""
+    _check_parameters(parameters)
+    terms = point_terms(model, parameters, {}, 1)
+    raise_first(terms.errors)
+    return Hamiltonian(terms.space, terms.fields[0], terms.couplings[0]), float(terms.betas[0])
 
 
 def _check_model(model) -> None:
     if not isinstance(model, dict) or "preset" not in model:
         raise ConfigError("model section must carry a 'preset' field")
+
+
+def _check_parameters(parameters) -> None:
+    if not isinstance(parameters, dict):
+        raise ConfigError("parameters section must be a JSON object")
 
 
 def _model_space(model: dict) -> BlockSpace:
@@ -293,39 +300,95 @@ def _model_space(model: dict) -> BlockSpace:
     raise ConfigError(f"unknown preset {preset!r}; choose nn, nnn, pbrw, or custom")
 
 
-def _point_terms(
-    preset: str, space: BlockSpace, parameters: dict
-) -> tuple[float, float, np.ndarray]:
-    """(beta, field, coupling table) of one point's parameters."""
-    try:
-        if preset == "nn":
-            beta = resolve_beta(parameters["beta"])
-            j, b = _number(parameters["J"], "J"), _number(parameters["B"], "B")
-            return beta, b, _product(space, [j])
-        if preset == "nnn":
-            beta = resolve_beta(parameters["beta"])
-            j1, j2 = _number(parameters["J1"], "J1"), _number(parameters["J2"], "J2")
-            return beta, _number(parameters["B"], "B"), _product(space, [j1, j2])
-        if preset == "pbrw":
-            nn = pbrw_couplings(
-                PBRWParams(p=_number(parameters["p"], "p"), r=_number(parameters["r"], "r"))
-            )
-            return nn.beta, nn.B, _product(space, [nn.J])
-        beta = resolve_beta(parameters["beta"])
-    except KeyError as exc:
-        raise ConfigError(f"preset {preset!r} needs parameter {exc.args[0]!r}") from exc
-    field = _number(parameters.get("field", 0.0), "field")
-    couplings = parameters.get("couplings")
-    if couplings is None:
-        raise ConfigError("custom model needs parameters.couplings")
-    if isinstance(couplings, dict) and "product" in couplings:
-        j_by_distance = _number(couplings["product"], "couplings.product", _float_list)
-        return beta, field, _product(space, j_by_distance)
-    return beta, field, check_couplings(space, _number(couplings, "couplings", _float_list))
+@dataclass(frozen=True)
+class PointTerms:
+    """The parsed parameters of P points of one model: (P,) betas and
+    fields, (P, n, theta, theta) coupling tables, and each point's typed
+    error (None for a point that parsed)."""
+
+    space: BlockSpace
+    betas: np.ndarray
+    fields: np.ndarray
+    couplings: np.ndarray
+    errors: list
 
 
-def _product(space: BlockSpace, j_by_distance: list) -> np.ndarray:
-    return product_couplings(space, np.array([j_by_distance], dtype=float))[0]
+def point_terms(model: dict, base: dict, columns: dict, count: int) -> PointTerms:
+    """Parse ``count`` points of one model at once.
+
+    ``columns`` maps each swept name to its (count,) float column, which
+    overrides that name in the ``base`` parameters. The model and the base
+    parameters are the same for every point, so what is wrong with them
+    raises, the first fault in the order the preset reads its parameters.
+    A point whose own values fail (walk parameters outside (0, 1), a
+    non-finite field or coupling) gets its typed error in ``errors`` and a
+    zero field and couplings.
+    """
+    _check_model(model)
+    space = _model_space(model)
+    preset = model["preset"]
+    errors = [None] * count
+
+    def raw(name):
+        if name in columns:
+            return columns[name]
+        if name not in base:
+            raise ConfigError(f"preset {preset!r} needs parameter {name!r}")
+        return base[name]
+
+    def number(name):
+        return columns[name] if name in columns else _number(raw(name), name)
+
+    def column(value) -> np.ndarray:
+        out = np.empty(count)
+        out[:] = value
+        return out
+
+    if preset == "pbrw":
+        p, r = column(number("p")), column(number("r"))
+        inside = pbrw_inside(p, r)
+        record_failures(errors, ~inside, lambda k: LimitParameterError(PBRW_LIMITS))
+        # math.log per walk, as one point takes it: np.log can differ in the last bit
+        walks = [
+            pbrw_couplings(PBRWParams(a, b)) for a, b in zip(p[inside].tolist(), r[inside].tolist())
+        ]
+        betas, fields, j_by_distance = np.zeros(count), np.zeros(count), np.zeros((count, 1))
+        betas[inside] = 1.0
+        fields[inside] = [walk.B for walk in walks]
+        j_by_distance[inside, 0] = [walk.J for walk in walks]
+        couplings = product_couplings(space, j_by_distance)
+    elif preset in ("nn", "nnn"):
+        betas = column(resolve_beta(raw("beta")))
+        j_names = ("J",) if preset == "nn" else ("J1", "J2")
+        j_by_distance = np.empty((count, len(j_names)))
+        for d, name in enumerate(j_names):
+            j_by_distance[:, d] = number(name)
+        couplings = product_couplings(space, j_by_distance)
+        fields = column(number("B"))
+    else:
+        betas = column(resolve_beta(raw("beta")))
+        fields = column(number("field") if "field" in columns or "field" in base else 0.0)
+        if "couplings" in columns:
+            raise ConfigError("parameters.couplings is a table and cannot be swept")
+        table = base.get("couplings")
+        if table is None:
+            raise ConfigError("custom model needs parameters.couplings")
+        if isinstance(table, dict) and "product" in table:
+            j_by_distance = _number(table["product"], "couplings.product", _float_list)
+            table = product_couplings(space, np.array([j_by_distance], dtype=float))[0]
+        else:
+            table = _number(table, "couplings", _float_list)
+        table = check_couplings(space, table)
+        couplings = np.empty((count,) + table.shape)
+        couplings[:] = table
+
+    nonfinite = ~finite_models(fields, couplings)
+    record_failures(
+        errors, nonfinite, lambda k: NumericDomainError("couplings and field must be finite")
+    )
+    fields[nonfinite] = 0.0
+    couplings[nonfinite] = 0.0
+    return PointTerms(space, betas, fields, couplings, errors)
 
 
 # ----------------------------------------------------------------------
@@ -400,58 +463,53 @@ def evaluate_sweep_point(model: dict, base_parameters: dict, point: dict) -> dic
     return evaluate_chunk(model, base_parameters, list(point), [list(point.values())])[0]
 
 
-def evaluate_chunk(
-    model: dict, base_parameters: dict, names: list[str], values: list[list[float]]
-) -> list[dict]:
-    """Sweep rows of the points ``values`` (one list per point, aligned
-    with ``names``), evaluated as stacks; a failing point gets its error
-    status and leaves the other rows untouched."""
-    rows = [{name: float(v) for name, v in zip(names, point)} for point in values]
-    errors = [None] * len(rows)
+def evaluate_chunk(model: dict, base_parameters: dict, names: list[str], values) -> list[dict]:
+    """Sweep rows of the (P, k) points ``values``, aligned with the k
+    ``names``, parsed by columns and evaluated as stacks. A fault of the
+    model or a base parameter is every row's status, and a failing point
+    gets its error status and leaves the other rows untouched; a base that
+    is not an object, or a point value that is not a number, is a
+    ConfigError."""
+    _check_parameters(base_parameters)
+    values = _point_values(names, values)
+    count = len(values)
     try:
-        _check_model(model)
-        space = _model_space(model)
+        terms = point_terms(model, base_parameters, dict(zip(names, values.T)), count)
     except SpinmechError as exc:
-        return [_failed_row(row, exc) for row in rows]
-
-    theta = space.alphabet.size
-    neutral = (0.0, 0.0, np.zeros((space.n, theta, theta)))
-    terms = []
-    for p, row in enumerate(rows):
-        parameters = dict(base_parameters)
-        parameters.update(row)
-        try:
-            terms.append(_point_terms(model["preset"], space, parameters))
-        except SpinmechError as exc:
-            errors[p] = exc
-            terms.append(neutral)
-    betas = np.array([t[0] for t in terms])
-    fields = np.array([t[1] for t in terms])
-    couplings = np.stack([t[2] for t in terms])
-    finite = finite_models(fields, couplings)
-    record_failures(
-        errors, ~finite, lambda p: NumericDomainError("couplings and field must be finite")
-    )
-    fields[~finite] = 0.0
-    couplings[~finite] = 0.0
-    x = intra_energy_stack(space, fields, couplings)
-    y = cross_energy_stack(space, couplings)
+        return [_failed_row(dict(zip(names, point)), exc) for point in values.tolist()]
+    space, errors = terms.space, terms.errors
+    x = intra_energy_stack(space, terms.fields, terms.couplings)
+    y = cross_energy_stack(space, terms.couplings)
 
     # at most _STACK_ENTRIES entries per (P, S, S) array of a stack: the
     # O(S^3) kernels walk a stack in row blocks of that many entries, so
     # its memory grows as P * S**2, and 64-block spaces stack 16 points
     step = max(1, _STACK_ENTRIES // space.size**2)
-    for lo in range(0, len(rows), step):
+    metric_columns = {name: [] for name in CSV_METRIC_COLUMNS[:-1]}
+    for lo in range(0, count, step):
         hi = lo + step
         stack_errors = errors[lo:hi]
-        stack = evaluate_stack(space, x[lo:hi], y[lo:hi], betas[lo:hi], stack_errors)
+        stack = evaluate_stack(space, x[lo:hi], y[lo:hi], terms.betas[lo:hi], stack_errors)
         errors[lo:hi] = stack_errors
-        columns = stack.metric_columns()
-        for k, row in enumerate(rows[lo:hi]):
-            for name, column in columns.items():
-                row[name] = column[k]
-            row["status"] = "ok"
+        for name, column in stack.metric_columns().items():
+            metric_columns[name] += column
+    keys = [*names, *CSV_METRIC_COLUMNS]
+    cells = zip(*values.T.tolist(), *metric_columns.values(), ["ok"] * count)
+    rows = [dict(zip(keys, point)) for point in cells]
     return [row if exc is None else _failed_row(row, exc) for row, exc in zip(rows, errors)]
+
+
+def _point_values(names: list[str], values) -> np.ndarray:
+    """The (P, k) float matrix of P sweep points over the k ``names``."""
+    if len(values) == 0:
+        return np.empty((0, len(names)))
+    try:
+        matrix = np.array(values)
+    except ValueError:  # ragged points
+        matrix = None
+    if matrix is None or matrix.dtype.kind not in "fiu" or matrix.shape[1:] != (len(names),):
+        raise ConfigError(f"sweep points must be numbers, one per name of {names}")
+    return matrix.astype(float, copy=False)
 
 
 def _failed_row(row: dict, exc: SpinmechError) -> dict:
@@ -492,11 +550,10 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     if model is None:
         raise ConfigError("config needs a model section")
     base_parameters = config.get("parameters", {})
-    if not isinstance(base_parameters, dict):
-        raise ConfigError("parameters section must be a JSON object")
+    _check_parameters(base_parameters)
     names, values = sweep_points(config.get("sweep"))
 
-    chunks = [values[lo : lo + CHUNK_SIZE].tolist() for lo in range(0, len(values), CHUNK_SIZE)]
+    chunks = [values[lo : lo + CHUNK_SIZE] for lo in range(0, len(values), CHUNK_SIZE)]
     args = (repeat(model), repeat(base_parameters), repeat(names), chunks)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _unit_scale,
     analyze,
     apply_overrides,
     format_csv,
@@ -134,12 +135,15 @@ def _prepared_config(args) -> dict:
 
 
 def _units(args, cfg: dict) -> str:
+    """The output units, checked before anything is evaluated."""
     if getattr(args, "nats", False):
         return "nats"
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output section must be a JSON object")
-    return output.get("units", "bits")
+    units = output.get("units", "bits")
+    _unit_scale(units)
+    return units
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -152,9 +156,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     cfg = _prepared_config(args)
+    units = _units(args, cfg)
     hamiltonian, beta = hamiltonian_from_config(cfg.get("model"), cfg.get("parameters", {}))
     result = analyze(hamiltonian, beta)
-    document = metrics_document(cfg, result, units=_units(args, cfg))
+    document = metrics_document(cfg, result, units=units)
     _emit(json.dumps(document, indent=2) + "\n", args.output)
     return 0
 
@@ -165,8 +170,9 @@ def _cmd_sweep(args) -> int:
     cfg = _prepared_config(args)
     if args.seed is not None:
         cfg.setdefault("sweep", {})["seed"] = args.seed
+    units = _units(args, cfg)
     names, rows = run_sweep(cfg, jobs=args.jobs)
-    _emit(format_csv(names, rows, units=_units(args, cfg)), args.output)
+    _emit(format_csv(names, rows, units=units), args.output)
     return 0
 
 

@@ -140,10 +140,11 @@ def product_couplings(space: BlockSpace, j_by_distance: np.ndarray) -> np.ndarra
 
     The pair energy at distance d is -J_d * s * s'.
     """
-    if j_by_distance.shape[1] != space.n:
-        raise NumericDomainError(f"need {space.n} couplings, got {j_by_distance.shape[1]}")
-    vals = np.asarray(space.alphabet.values, dtype=float)
-    return -j_by_distance[:, :, None, None] * np.outer(vals, vals)
+    if j_by_distance.shape[1:] != (space.n,):
+        raise NumericDomainError(
+            f"need {space.n} couplings per point, got shape {j_by_distance.shape[1:]}"
+        )
+    return -j_by_distance[:, :, None, None] * space.alphabet.value_products
 
 
 def intra_energy_stack(space: BlockSpace, fields: np.ndarray, couplings: np.ndarray) -> np.ndarray:

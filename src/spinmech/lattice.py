@@ -36,6 +36,12 @@ class SpinAlphabet:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def value_products(self) -> np.ndarray:
+        """(theta, theta) products s * s' of the spin values."""
+        values = np.asarray(self.values, dtype=float)
+        return np.outer(values, values)
+
     def symbol(self, index: int) -> str:
         """Single-character rendering of one symbol index."""
         if not 0 <= index < len(self.values):

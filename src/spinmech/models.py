@@ -160,13 +160,22 @@ def pbrw_ising(params: PBRWParams) -> Hamiltonian:
     return nn_ising(pbrw_couplings(params))
 
 
+PBRW_LIMITS = (
+    "p and r must lie strictly inside (0, 1); the endpoints are "
+    "zero-temperature limits, use the ground-state pathway instead"
+)
+
+
+def pbrw_inside(p, r):
+    """Whether p and r lie strictly inside (0, 1), elementwise on arrays;
+    NaN lies outside."""
+    return (0.0 < p) & (p < 1.0) & (0.0 < r) & (r < 1.0)
+
+
 def pbrw_couplings(params: PBRWParams) -> NNParams:
     """The NN parameters of the walk; see pbrw_ising."""
-    if not (0.0 < params.p < 1.0 and 0.0 < params.r < 1.0):
-        raise LimitParameterError(
-            "p and r must lie strictly inside (0, 1); the endpoints are "
-            "zero-temperature limits, use the ground-state pathway instead"
-        )
+    if not pbrw_inside(params.p, params.r):
+        raise LimitParameterError(PBRW_LIMITS)
     j = 0.5 * math.log(params.p / (1.0 - params.p))
     b = 0.5 * math.log(params.r / (1.0 - params.r))
     return NNParams(J=j, B=b, beta=1.0)

@@ -20,7 +20,7 @@ from spinmech.analysis import (
     run_sweep,
     sweep_points,
 )
-from spinmech.errors import ConfigError
+from spinmech.errors import ConfigError, NumericDomainError
 from spinmech.hamiltonian import Hamiltonian
 from spinmech.lattice import BINARY, BlockSpace, SpinAlphabet
 from spinmech.machine import block_machines, spin_machines
@@ -91,7 +91,13 @@ def test_resolve_beta_handles_ground_state():
     assert resolve_beta(2.5) == 2.5
     assert resolve_beta("inf") == GROUND_STATE_BETA
     assert resolve_beta(float("inf")) == GROUND_STATE_BETA
-    for raw in ("cold", None, [1]):
+    # -inf is a negative beta, not the ground state: it passes through and fails later
+    assert resolve_beta(float("-inf")) == -math.inf
+    assert resolve_beta(-2.0) == -2.0
+    swept = resolve_beta(np.array([2.5, math.inf, -math.inf, -2.0]))
+    assert swept.tolist() == [2.5, GROUND_STATE_BETA, -math.inf, -2.0]
+    assert math.isnan(resolve_beta(np.array([math.nan]))[0])
+    for raw in ("cold", "-inf", None, [1]):
         with pytest.raises(ConfigError):
             resolve_beta(raw)
 
@@ -291,6 +297,43 @@ def test_evaluate_sweep_point_records_errors():
     row = evaluate_sweep_point({"preset": "nn"}, {"B": "abc"}, {"beta": 1.0, "J": 0.5})
     assert row["status"] == "config_error"
     assert math.isnan(row["C_mu"])
+    # with nothing swept, the row is the metrics alone
+    row = evaluate_sweep_point({"preset": "nn"}, {"beta": "x", "J": 0.5, "B": 0.0}, {})
+    assert list(row) == analysis.CSV_METRIC_COLUMNS and row["status"] == "config_error"
+
+
+def test_negative_infinite_beta_fails_like_a_negative_beta():
+    base = {"J": 0.5, "B": 0.1}
+    for beta in (-1.0, -math.inf):
+        row = evaluate_sweep_point({"preset": "nn"}, base, {"beta": beta})
+        assert row["status"] == "numeric_domain_error", beta
+        assert list(row)[0] == "beta" and row["beta"] == beta
+        row = evaluate_sweep_point({"preset": "nn"}, {**base, "beta": beta}, {})
+        assert row["status"] == "numeric_domain_error", beta
+        with pytest.raises(NumericDomainError):
+            analyze(*hamiltonian_from_config({"preset": "nn"}, {**base, "beta": beta}))
+    ground = evaluate_sweep_point({"preset": "nn"}, base, {"beta": math.inf})
+    assert ground["status"] == "ok"
+    unswept = evaluate_sweep_point({"preset": "nn"}, {**base, "beta": "inf"}, {})
+    assert ground == {"beta": math.inf, **unswept}
+    # a swept -inf among other points fails alone
+    betas = [[1.0], [-math.inf], [math.inf]]
+    rows = analysis.evaluate_chunk({"preset": "nn"}, base, ["beta"], betas)
+    assert [row["status"] for row in rows] == ["ok", "numeric_domain_error", "ok"]
+
+
+def test_malformed_sweep_point_input_is_a_config_error():
+    model, point = {"preset": "nn"}, {"beta": 1.0, "J": 0.5, "B": 0.1}
+    for base in ([1], "x", None):
+        with pytest.raises(ConfigError, match="parameters section"):
+            evaluate_sweep_point(model, base, point)
+    for value in ("abc", None, [1.0]):
+        with pytest.raises(ConfigError, match="sweep points"):
+            evaluate_sweep_point(model, {}, {**point, "J": value})
+    for values in ([[1.0, 0.5]], [[1.0, 0.5, 0.1], [1.0]], [1.0, 0.5, 0.1]):
+        with pytest.raises(ConfigError, match="sweep points"):
+            analysis.evaluate_chunk(model, {}, list(point), values)
+    assert analysis.evaluate_chunk(model, {}, list(point), []) == []
 
 
 def test_run_sweep_smoke_and_determinism():

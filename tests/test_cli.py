@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from spinmech import cli
 from spinmech.cli import main
 
 E2BJ3 = 0.5 * math.log(3.0)
@@ -278,7 +279,7 @@ def test_negative_class_index_exits_one(nn_config, capsys):
     assert main(command + ["--class-index", "1"]) == 2
 
 
-def test_unknown_units_exit_one(nn_config, tmp_path, capsys):
+def test_unknown_units_exit_one(nn_config, tmp_path, capsys, monkeypatch):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(
         json.dumps(
@@ -292,15 +293,24 @@ def test_unknown_units_exit_one(nn_config, tmp_path, capsys):
             }
         )
     )
-    for command in (["analyze", "-c", str(nn_config)], ["sweep", "-c", str(sweep), "--jobs", "1"]):
+    commands = (["analyze", "-c", str(nn_config)], ["sweep", "-c", str(sweep), "--jobs", "1"])
+    for command in commands:
+        for units in ("bits", "nats"):
+            assert main(command + ["--set", f"output.units={units}"]) == 0
+            capsys.readouterr()
+
+    # the units are checked before any point is evaluated
+    def not_evaluated(*args, **kwargs):
+        raise AssertionError("evaluated a point before checking the units")
+
+    monkeypatch.setattr(cli, "run_sweep", not_evaluated)
+    monkeypatch.setattr(cli, "analyze", not_evaluated)
+    for command in commands:
         for units in ("Nats", "bit", "5"):
             assert main(command + ["--set", f"output.units={units}"]) == 1, (command, units)
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and "output.units" in captured.err
-        for units in ("bits", "nats"):
-            assert main(command + ["--set", f"output.units={units}"]) == 0
-            capsys.readouterr()
         assert main(command + ["--set", "output=nats"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
