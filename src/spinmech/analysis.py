@@ -2,12 +2,15 @@
 
 The pipeline runs model -> transfer -> stochastic chain -> machines over a
 stack of points that share one block space, and collects the information
-measures plus diagnostics. A sweep evaluates its points in chunks of
-CHUNK_SIZE (optionally across processes; each chunk is pure) and assembles
-rows in index order. A single point is a stack of one through the same
-functions, and every stage computes each point's values independently of
-the others in its stack, so rows are bit-identical for a given config +
-seed whatever the chunk boundaries or the number of processes.
+measures plus diagnostics. A chunk of sweep points is evaluated in stacks
+of at most _STACK_ENTRIES // S**2 points, whatever its length, so memory
+is bounded by the stack. A sweep run in-process is one chunk; across
+processes its points go in chunks of CHUNK_SIZE, the unit of work of a
+worker (each chunk is pure), and rows are assembled in index order. A
+single point is a stack of one through the same functions, and every
+stage computes each point's values independently of the others in its
+stack, so rows are bit-identical for a given config + seed whatever the
+chunk or stack boundaries or the number of processes.
 """
 
 import json
@@ -16,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,8 +52,9 @@ from .machine import block_machines, spin_machines  # noqa: E402,F401
 from .markov import solve_stochastic  # noqa: E402,F401
 from .transfer import build_transfer  # noqa: E402,F401
 
-# Points per sweep chunk: the unit of work of a process, and the largest
-# stack the pipeline evaluates at once.
+# Points per sweep chunk: the unit of work of a worker process. It does not
+# bound a stack: evaluate_chunk splits any number of points into stacks of
+# at most _STACK_ENTRIES // S**2, and an in-process sweep is one chunk.
 CHUNK_SIZE = 256
 
 LN2 = math.log(2.0)
@@ -241,9 +246,9 @@ def _number(value, name: str, kind=float):
 
 
 def _has_bool(value) -> bool:
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
+    return isinstance(value, (bool, np.bool_))
 
 
 def _float_list(value) -> list:
@@ -478,18 +483,20 @@ def evaluate_chunk(model: dict, base_parameters: dict, names: list[str], values)
     except SpinmechError as exc:
         return [_failed_row(dict(zip(names, point)), exc) for point in values.tolist()]
     space, errors = terms.space, terms.errors
-    x = intra_energy_stack(space, terms.fields, terms.couplings)
-    y = cross_energy_stack(space, terms.couplings)
 
-    # at most _STACK_ENTRIES entries per (P, S, S) array of a stack: the
-    # O(S^3) kernels walk a stack in row blocks of that many entries, so
-    # its memory grows as P * S**2, and 64-block spaces stack 16 points
+    # at most _STACK_ENTRIES entries per (P, S, S) array of a stack, its
+    # energy tables included, whatever the number of points: the O(S^3)
+    # kernels walk a stack in row blocks of that many entries, so its
+    # memory grows as P * S**2, and 64-block spaces stack 16 points
     step = max(1, _STACK_ENTRIES // space.size**2)
     metric_columns = {name: [] for name in CSV_METRIC_COLUMNS[:-1]}
     for lo in range(0, count, step):
         hi = lo + step
+        couplings = terms.couplings[lo:hi]
+        x = intra_energy_stack(space, terms.fields[lo:hi], couplings)
+        y = cross_energy_stack(space, couplings)
         stack_errors = errors[lo:hi]
-        stack = evaluate_stack(space, x[lo:hi], y[lo:hi], terms.betas[lo:hi], stack_errors)
+        stack = evaluate_stack(space, x, y, terms.betas[lo:hi], stack_errors)
         errors[lo:hi] = stack_errors
         for name, column in stack.metric_columns().items():
             metric_columns[name] += column
@@ -503,6 +510,10 @@ def _point_values(names: list[str], values) -> np.ndarray:
     """The (P, k) float matrix of P sweep points over the k ``names``."""
     if len(values) == 0:
         return np.empty((0, len(names)))
+    # JSON true/false are not numbers, though np.array takes them as 1.0
+    # and 0.0 among floats; a float array, as run_sweep passes, has none
+    if isinstance(values, list) and _has_bool(values):
+        raise ConfigError(f"sweep points must be numbers, one per name of {names}, not booleans")
     try:
         matrix = np.array(values)
     except ValueError:  # ragged points
@@ -543,8 +554,10 @@ def _error_code(exc: SpinmechError) -> str:
 def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[dict]]:
     """Evaluate every sweep point; returns (parameter names, rows in order).
 
-    Points go in chunks of CHUNK_SIZE; with ``jobs`` > 1 whole chunks go to
-    a pool of at most one process per chunk. ``jobs`` < 1 is a ConfigError.
+    In-process (``jobs`` == 1, or a sweep of one chunk) the whole sweep
+    is one evaluate_chunk call; with ``jobs`` > 1 the points go in chunks
+    of CHUNK_SIZE to a pool of at most one process per chunk. ``jobs`` < 1
+    is a ConfigError.
     """
     model = config.get("model")
     if model is None:
@@ -553,18 +566,17 @@ def run_sweep(config: dict, jobs: int | None = None) -> tuple[list[str], list[di
     _check_parameters(base_parameters)
     names, values = sweep_points(config.get("sweep"))
 
-    chunks = [values[lo : lo + CHUNK_SIZE] for lo in range(0, len(values), CHUNK_SIZE)]
-    args = (repeat(model), repeat(base_parameters), repeat(names), chunks)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    chunks = [values[lo : lo + CHUNK_SIZE] for lo in range(0, len(values), CHUNK_SIZE)]
     workers = min(jobs, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate_chunk, *args))
-    else:
-        parts = list(map(evaluate_chunk, *args))
+    if workers == 1:
+        return names, evaluate_chunk(model, base_parameters, names, values)
+    args = (repeat(model), repeat(base_parameters), repeat(names), chunks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(evaluate_chunk, *args))
     return names, [row for part in parts for row in part]
 
 
@@ -578,26 +590,39 @@ def _unit_scale(units: str) -> float:
 
 
 def format_csv(names: list[str], rows: list[dict], units: str = "bits") -> str:
-    """Render sweep rows as CSV with a header; floats use shortest repr."""
-    header = ["index"] + names + CSV_METRIC_COLUMNS
-    lines = [",".join(header)]
+    """Render sweep rows as CSV with a header; floats use shortest repr.
+
+    The CSV is built by columns, and a float column whose float64 bits are
+    an earlier column's reuses its text (at range 1 the spin columns are
+    the block columns bit for bit). Bits, not values, decide: 0.0 == -0.0,
+    but the two print differently.
+    """
+    header = ["index", *names, *CSV_METRIC_COLUMNS]
     scale = _unit_scale(units)
     entropic = {"C_mu", "h_mu", "E_mu", "E_paper", "C_mu_spin", "h_mu_spin", "E_spin"}
-    for index, row in enumerate(rows):
-        cells = [str(index)]
-        for name in names:
-            cells.append(repr(float(row[name])))
-        for col in CSV_METRIC_COLUMNS:
-            value = row[col]
-            if col == "status":
-                cells.append(str(value))
-            elif col in ("n_states", "n_classes"):
-                cells.append(str(int(value)))
-            elif col in entropic:
-                cells.append(repr(float(value) * scale))
-            else:
-                cells.append(repr(float(value)))
-        lines.append(",".join(cells))
+    texts = {}
+
+    def cells(col: str):
+        return map(itemgetter(col), rows)
+
+    def floats(col: str, factor: float = 1.0) -> list[str]:
+        values = list(map(float, cells(col)))
+        if factor != 1.0:  # x * 1.0 is x, bit for bit
+            values = [x * factor for x in values]
+        bits = np.array(values, dtype=float).tobytes()
+        if bits not in texts:
+            texts[bits] = list(map(repr, values))
+        return texts[bits]
+
+    columns = [list(map(str, range(len(rows)))), *map(floats, names)]
+    for col in CSV_METRIC_COLUMNS:
+        if col == "status":
+            columns.append(list(map(str, cells(col))))
+        elif col in ("n_states", "n_classes"):
+            columns.append(list(map(str, map(int, cells(col)))))
+        else:
+            columns.append(floats(col, scale if col in entropic else 1.0))
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 

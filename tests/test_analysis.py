@@ -10,6 +10,7 @@ import pytest
 import spinmech
 from spinmech import analysis, markov, transfer
 from spinmech.analysis import (
+    _model_space,
     analyze,
     apply_overrides,
     evaluate_sweep_point,
@@ -327,10 +328,18 @@ def test_malformed_sweep_point_input_is_a_config_error():
     for base in ([1], "x", None):
         with pytest.raises(ConfigError, match="parameters section"):
             evaluate_sweep_point(model, base, point)
-    for value in ("abc", None, [1.0]):
+    # JSON true/false are not numbers, in a point as in a config field
+    for value in ("abc", None, [1.0], True, False):
         with pytest.raises(ConfigError, match="sweep points"):
             evaluate_sweep_point(model, {}, {**point, "J": value})
-    for values in ([[1.0, 0.5]], [[1.0, 0.5, 0.1], [1.0]], [1.0, 0.5, 0.1]):
+    for values in (
+        [[1.0, 0.5]],
+        [[1.0, 0.5, 0.1], [1.0]],
+        [1.0, 0.5, 0.1],
+        [[1.0, True, 0.1]],
+        [[1.0, 0.5, 0.1], (1.0, 0.5, np.True_)],
+        np.array([[True, False, True]]),
+    ):
         with pytest.raises(ConfigError, match="sweep points"):
             analysis.evaluate_chunk(model, {}, list(point), values)
     assert analysis.evaluate_chunk(model, {}, list(point), []) == []
@@ -413,8 +422,9 @@ def _grid(**axes) -> dict:
 
 
 def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
-    # every sweep crosses chunk boundaries, and many more with chunks of 7,
-    # so rows sit at every position of a chunk; error rows are mixed in
+    # every sweep crosses chunk boundaries with two processes, and many
+    # stack boundaries in one with stacks of 7, so rows sit at every
+    # position of a chunk and of a stack; error rows are mixed in
     longer = 2 * analysis.CHUNK_SIZE + 37
     fig1 = {
         "beta": {"low": 1e-4, "high": 1e2, "scale": "log"},
@@ -505,9 +515,9 @@ def test_sweep_rows_do_not_depend_on_chunks_or_jobs(monkeypatch):
         _, parallel = run_sweep(config, jobs=2)
         assert [_row_signature(row) for row in parallel] == expected
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "CHUNK_SIZE", 7)
-            _, small_chunks = run_sweep(config, jobs=1)
-        assert [_row_signature(row) for row in small_chunks] == expected
+            patch.setattr(analysis, "_STACK_ENTRIES", 7 * _model_space(model).size ** 2)
+            _, small_stacks = run_sweep(config, jobs=1)
+        assert [_row_signature(row) for row in small_stacks] == expected
         _, values = sweep_points(sweep)
         for index, (point, row) in enumerate(zip(values.tolist(), expected)):
             single = evaluate_sweep_point(model, base, dict(zip(names, point)))
@@ -542,32 +552,87 @@ class _RecordingPool:
         return map(fn, *iterables)
 
 
+def _beta_sweep(count: int) -> dict:
+    """A random NN sweep of ``count`` betas."""
+    return {
+        "model": {"preset": "nn"},
+        "parameters": {"B": 0.2, "J": 0.5},
+        "sweep": {
+            "mode": "random",
+            "count": count,
+            "seed": 1,
+            "parameters": {"beta": {"low": 0.1, "high": 1.0}},
+        },
+    }
+
+
 def test_run_sweep_starts_at_most_one_worker_per_chunk(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
-    interval = {"low": 0.1, "high": 1.0}
-
-    def sweep(count: int) -> dict:
-        return {
-            "model": {"preset": "nn"},
-            "parameters": {"B": 0.2, "J": 0.5},
-            "sweep": {
-                "mode": "random",
-                "count": count,
-                "seed": 1,
-                "parameters": {"beta": interval},
-            },
-        }
-
-    _, rows = run_sweep(sweep(100), jobs=64)  # one chunk: no pool at all
+    _, rows = run_sweep(_beta_sweep(100), jobs=64)  # one chunk: no pool at all
     assert len(rows) == 100 and _RecordingPool.started == []
-    _, rows = run_sweep(sweep(2 * analysis.CHUNK_SIZE + 1), jobs=64)
+    _, rows = run_sweep(_beta_sweep(2 * analysis.CHUNK_SIZE + 1), jobs=64)
     assert len(rows) == 2 * analysis.CHUNK_SIZE + 1 and _RecordingPool.started == [3]
-    run_sweep(sweep(4 * analysis.CHUNK_SIZE), jobs=2)
+    run_sweep(_beta_sweep(4 * analysis.CHUNK_SIZE), jobs=2)
     assert _RecordingPool.started == [3, 2]
     for jobs in (0, -2):
         with pytest.raises(ConfigError):
-            run_sweep(sweep(10), jobs=jobs)
+            run_sweep(_beta_sweep(10), jobs=jobs)
+
+
+def test_serial_sweep_is_one_chunk(monkeypatch):
+    # in one process the whole sweep is one chunk, however many CHUNK_SIZEs
+    # it spans; chunks are the unit of a worker process alone
+    calls = []
+    evaluate = analysis.evaluate_chunk
+
+    def recording_chunk(model, base, names, values):
+        calls.append(len(values))
+        return evaluate(model, base, names, values)
+
+    monkeypatch.setattr(analysis, "evaluate_chunk", recording_chunk)
+    count = 2 * analysis.CHUNK_SIZE + 1
+    _, rows = run_sweep(_beta_sweep(count), jobs=1)
+    assert calls == [count] and len(rows) == count
+    calls.clear()
+    run_sweep(_beta_sweep(100), jobs=64)
+    assert calls == [100]
+
+
+def test_sweep_stacks_and_energy_tables_stay_within_the_stack_budget(monkeypatch):
+    # a range-6 sweep of 40 points: stacks of _STACK_ENTRIES // 64**2 = 16,
+    # with energy tables built per stack, never a (40, 64, 64) table
+    stacks, tables = [], []
+    evaluate, cross = analysis.evaluate_stack, analysis.cross_energy_stack
+
+    def recording_stack(space, x, y, betas, errors):
+        stacks.append((x.shape, y.shape))
+        return evaluate(space, x, y, betas, errors)
+
+    def recording_cross(space, couplings):
+        tables.append(len(couplings))
+        return cross(space, couplings)
+
+    monkeypatch.setattr(analysis, "evaluate_stack", recording_stack)
+    monkeypatch.setattr(analysis, "cross_energy_stack", recording_cross)
+    config = {
+        "model": {"preset": "custom", "range": 6},
+        "parameters": {"couplings": {"product": [0.7, -0.4, 0.3, 0.2, -0.1, 0.05]}},
+        "sweep": {
+            "mode": "random",
+            "count": 40,
+            "seed": 1,
+            "parameters": {
+                "beta": {"low": 1e-2, "high": 5.0, "scale": "log"},
+                "field": {"low": -3.0, "high": 3.0},
+            },
+        },
+    }
+    _, rows = run_sweep(config, jobs=1)
+    step = analysis._STACK_ENTRIES // 64**2
+    assert step == 16 and len(rows) == 40
+    assert stacks == [((p, 64), (p, 64, 64)) for p in (16, 16, 8)]
+    assert tables == [16, 16, 8]
 
 
 def test_benchmark_tracer_installs_on_the_pipeline():

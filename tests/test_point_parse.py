@@ -3,8 +3,8 @@ reference: ``_point_terms`` read one point's (beta, field, coupling table)
 from the base parameters updated by that point's swept values, and the
 chunk stacked the terms point by point. The column-wise parse
 (``analysis.point_terms``) must give the same rows, float for float, key
-for key and status for status, and the same CSV, whatever the chunk size
-or the number of processes."""
+for key and status for status, and the same CSV, whatever the chunk size,
+the stack size or the number of processes."""
 
 import math
 
@@ -242,12 +242,18 @@ def test_column_parse_gives_the_rows_of_the_point_parse(label, monkeypatch):
     expected = _reference_chunk(model, base, names, values.tolist())
     signature = _signature(expected)
     csv = {units: format_csv(names, expected, units) for units in ("bits", "nats")}
-    for chunk in (1, 7, 256):
+    try:
+        blocks = _model_space(model).size
+    except ConfigError:  # a bad model: every row is its config_error
+        blocks = 1
+    # chunks cut a sweep across processes, stacks within one
+    for size in (1, 7, 256):
         for jobs in (1, 2):
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "CHUNK_SIZE", chunk)
+                patch.setattr(analysis, "CHUNK_SIZE", size)
+                patch.setattr(analysis, "_STACK_ENTRIES", size * blocks**2)
                 _, rows = run_sweep(config, jobs=jobs)
-            assert _signature(rows) == signature, (chunk, jobs)
+            assert _signature(rows) == signature, (size, jobs)
             for units, text in csv.items():
                 assert format_csv(names, rows, units) == text
     statuses = {row["status"] for row in expected}
