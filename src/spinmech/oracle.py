@@ -29,6 +29,12 @@ from .transfer import TransferSystem, _perron_eigensystem
 
 ENUMERATION_GUARD = 10**7
 RNG_KIND = "pcg64"
+# the literal solver's block-space limit and its factorization tolerance
+SOLVER_MAX_BLOCKS = 4
+SOLVER_TOL = 1e-8
+# Gauss-Newton steps a polish may take; a polish still progressing at the
+# cap stops there, and the gates after it judge the result
+_POLISH_STEPS = 100
 # Steps the sampler scans at a time; bounds the memory each segment adds
 # to the sampled sequence.
 _SAMPLE_CHUNK = 1 << 16
@@ -75,14 +81,19 @@ def enumerate_gibbs(
     beta: float,
     n_blocks: int,
     boundary: str = "open",
-    guard: int = ENUMERATION_GUARD,
 ) -> GibbsEnsemble:
-    """Exhaustive Boltzmann distribution over all block sequences."""
+    """Exhaustive Boltzmann distribution over all block sequences.
+
+    ``n_blocks`` must be an integer >= 1, not a bool, and the chain may
+    have at most ``ENUMERATION_GUARD`` configurations.
+    """
+    if not _is_count(n_blocks, 1):
+        raise InvalidChainError(f"n_blocks must be an integer >= 1, got {n_blocks!r}")
     size = hamiltonian.blocks.size
     total = size**n_blocks
-    if total > guard:
+    if total > ENUMERATION_GUARD:
         raise EnumerationTooLargeError(
-            f"{size}**{n_blocks} = {total} configurations exceed the guard {guard}"
+            f"{size}**{n_blocks} = {total} configurations exceed the guard {ENUMERATION_GUARD}"
         )
     x = hamiltonian.intra_energies
     y = hamiltonian.cross_energies
@@ -114,9 +125,9 @@ def enumerate_gibbs(
 def conditional_from_enumeration(ens: GibbsEnsemble, position: int) -> EnumeratedConditionals:
     """Conditional tables at one chain position, by exact marginalization."""
     n = ens.n_blocks
-    if not 0 <= position <= n - 2:
+    if not (_is_count(position, 0) and position <= n - 2):
         raise InvalidChainError(
-            f"position {position} outside 0..{n - 2} for step conditionals"
+            f"position {position!r} outside 0..{n - 2} for step conditionals"
         )
     triple = None
     if 1 <= position <= n - 2:
@@ -146,28 +157,27 @@ def naive_isolated_conditional(ts: TransferSystem) -> np.ndarray:
     return np.exp(log_joint - log_iso[:, None])
 
 
-def quadratic_system_solve(
-    lc: LocalCharacteristics, tol: float = 1e-8, max_size: int = 4
-) -> np.ndarray:
+def quadratic_system_solve(lc: LocalCharacteristics) -> np.ndarray:
     """Recover the transition matrix from the local characteristics alone.
 
     Every neighbor triple demands P[j, l] * P[l, m] proportional to the
     conditional, with one unknown scale per (j, m) pair. Taken in logs this
     is a linear system whose solutions differ only by a diagonal gauge, and
     the row-sum-one requirement fixes the gauge through the dominant
-    eigenvector of the particular solution. No spectral data of the
-    transfer route enters; the inputs are the conditionals alone.
-    Reference implementation for small block spaces only.
+    eigenvector of the particular solution. Gauss-Newton steps on the exact
+    log equations, each a least-squares solve of the Jacobian against the
+    residuals, then polish the result; a polish stops at the first step
+    that neither halves the shortest step so far nor lowers the residual,
+    or after ``_POLISH_STEPS`` steps. No spectral data of the transfer route
+    enters; the inputs are the conditionals alone. Reference implementation
+    for at most ``SOLVER_MAX_BLOCKS`` blocks; a factorization residual above
+    ``SOLVER_TOL`` raises QuadraticSolveError.
     """
-    # imported here: scipy.optimize doubles the time and memory that
-    # importing the package takes, and nothing else uses it
-    from scipy.optimize import least_squares
-
     interior = lc.interior
     size = interior.shape[0]
-    if size > max_size:
+    if size > SOLVER_MAX_BLOCKS:
         raise QuadraticSolveError(
-            f"reference solver is limited to {max_size} blocks, got {size}", np.inf
+            f"reference solver is limited to {SOLVER_MAX_BLOCKS} blocks, got {size}", np.inf
         )
 
     log_lc = lc.log_interior
@@ -240,25 +250,31 @@ def quadratic_system_solve(
         return jac[:, free]
 
     def polish(start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        refined = least_squares(
-            residuals,
-            start.ravel()[free],
-            jac=jacobian,
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=2_000,
-        )
-        t = np.full(size * size, floor_log)
-        t[free] = refined.x
-        t = t.reshape(size, size)
+        z = start.ravel()[free]
+        misfit = residuals(z)
+        shortest = np.inf
+        for _ in range(_POLISH_STEPS):
+            step, *_ = np.linalg.lstsq(jacobian(z), -misfit, rcond=None)
+            length = float(np.max(np.abs(step)))
+            trial = z + step
+            trial_misfit = residuals(trial)
+            # a step that fails to halve the shortest one so far has
+            # stalled; one that does not lower the residual either is
+            # rounding noise, and is not taken
+            lowered = np.max(np.abs(trial_misfit)) < np.max(np.abs(misfit))
+            if not (length < 0.5 * shortest or lowered):
+                break
+            z, misfit, shortest = trial, trial_misfit, min(shortest, length)
+        t = expand(z)
         t = t - logsumexp(t, axis=1)[:, np.newaxis]
         out = np.exp(t)
         return out / out.sum(axis=1, keepdims=True), t
 
-    # the eigenvector's accuracy is limited by its spectral gap; a
-    # damped-Newton polish with the analytic Jacobian removes the rest.
+    # the eigenvector's accuracy is limited by its spectral gap; undamped
+    # Gauss-Newton steps with the analytic Jacobian remove the rest. From a
+    # far start the first step can overshoot and the next ones shrink by
+    # far less than half while they lower the residual; near the solution
+    # the steps shrink quadratically until they stall at the rounding floor.
     # A second solve from a gauge-twisted start probes identifiability:
     # near first-order coexistence the conditionals retain the pinning
     # information only below floating-point resolution, and then the two
@@ -283,10 +299,10 @@ def quadratic_system_solve(
     pair = theta[:, :, np.newaxis] + theta[np.newaxis, :, :]
     norm = logsumexp(pair, axis=1)
     log_misfit = float(np.max(np.abs(pair[j_idx, l_idx, m_idx] - norm[j_idx, m_idx] - targets)))
-    if residual > tol or log_misfit > 1e-6:
+    if residual > SOLVER_TOL or log_misfit > 1e-6:
         raise QuadraticSolveError(
             f"factorization residual {residual:.3e} (log misfit {log_misfit:.3e}) "
-            f"exceeds {tol:.1e}",
+            f"exceeds {SOLVER_TOL:.1e}",
             max(residual, log_misfit),
         )
     return matrix
@@ -302,8 +318,9 @@ def sample_sequence(
 
     The first block is drawn from the stationary distribution, later blocks
     from the matrix rows. Reducible chains need an explicit class choice.
-    ``seed`` must be a non-negative integer, not a bool; anything else
-    raises InvalidChainError, since no other seed reproduces its sequence.
+    ``n_blocks`` must be an integer >= 1 and ``seed`` a non-negative
+    integer, neither a bool; anything else raises InvalidChainError, since
+    no other seed reproduces its sequence.
 
     A step sends state s to min(searchsorted(cum[s], u, "right"), S - 1),
     with ``cum`` the row cumulative sums. That map depends only on which
@@ -318,8 +335,8 @@ def sample_sequence(
     sqrt(segment) / 4 steps (see ``_scan``). Memory beyond the output is
     the two tables and O(segment * S) per segment.
     """
-    if n_blocks < 1:
-        raise InvalidChainError(f"n_blocks must be at least 1, got {n_blocks}")
+    if not _is_count(n_blocks, 1):
+        raise InvalidChainError(f"n_blocks must be an integer >= 1, got {n_blocks!r}")
     if not _is_count(seed, 0):
         raise InvalidChainError(f"seed must be a non-negative integer, got {seed!r}")
     if chain.pi is not None and class_index is None:

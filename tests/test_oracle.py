@@ -12,6 +12,7 @@ from spinmech.errors import (
     EnumerationTooLargeError,
     InvalidBlockError,
     InvalidChainError,
+    QuadraticSolveError,
     ReducibleChainError,
     UndersampledError,
 )
@@ -139,6 +140,55 @@ def test_quadratic_solver_size_guard():
     ts = build_transfer(model, 1.0)
     with pytest.raises(QuadraticSolveError):
         quadratic_system_solve(local_characteristics(ts))
+
+
+def test_quadratic_solver_reports_ambiguity():
+    # near first-order coexistence the plain and the gauge-twisted polish
+    # settle on visibly different matrices
+    params = NNNParams(
+        J1=-1.4595320463507262, J2=1.4980141638368467, B=2.731598358756349, beta=5.598107977894888
+    )
+    ts = build_transfer(nnn_ising(params), params.beta)
+    with pytest.raises(QuadraticSolveError, match="solution ambiguity") as info:
+        quadratic_system_solve(local_characteristics(ts))
+    assert info.value.residual > 1e-9
+
+
+_NN_MODEL = nn_ising(NNParams(J=0.5, B=0.1, beta=1.0))
+_NN_ENSEMBLE = enumerate_gibbs(_NN_MODEL, 1.0, 4)
+
+
+def _nn_chain():
+    return solve_stochastic(build_transfer(_NN_MODEL, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *[
+            pytest.param(lambda n=n: sample_sequence(_nn_chain(), n, seed=3), id=f"sample-{n!r}")
+            for n in (2.5, True, np.float64(3.0), "3")
+        ],
+        *[
+            pytest.param(lambda n=n: enumerate_gibbs(_NN_MODEL, 1.0, n), id=f"enumerate-{n!r}")
+            for n in (0, 2.5, True)
+        ],
+        pytest.param(lambda: conditional_from_enumeration(_NN_ENSEMBLE, 1.5), id="position-1.5"),
+    ],
+)
+def test_oracle_rejects_malformed_counts(call):
+    with pytest.raises(InvalidChainError, match="n_blocks must|position"):
+        call()
+
+
+def test_oracle_takes_numpy_integer_counts():
+    chain = _nn_chain()
+    by_numpy = sample_sequence(chain, np.int64(50), seed=3)
+    assert np.array_equal(by_numpy, sample_sequence(chain, 50, seed=3))
+    ens = enumerate_gibbs(_NN_MODEL, 1.0, np.int64(4))
+    assert np.array_equal(ens.probs, _NN_ENSEMBLE.probs)
+    tables = conditional_from_enumeration(ens, np.int64(1))
+    assert np.array_equal(tables.triple, conditional_from_enumeration(ens, 1).triple)
 
 
 def test_sampling_deterministic():
@@ -404,15 +454,30 @@ def test_empirical_entropy_rate_undersampled():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the quadratic solver needs scipy.optimize, and it imports it on use
+    # numpy is the only runtime dependency: neither importing the package nor
+    # running the literal solver and the validation battery loads scipy
     src = os.path.dirname(os.path.dirname(spinmech.__file__))
-    code = "import sys, spinmech; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = """
+import sys
+import spinmech as sm
+from spinmech.validation import run_validation
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+print(scipy_modules())
+ts = sm.build_transfer(sm.nn_ising(sm.NNParams(J=0.5, B=0.3, beta=1.0)), 1.0)
+sm.quadratic_system_solve(sm.local_characteristics(ts))
+print(scipy_modules())
+run_validation(seed=20240)
+print(scipy_modules())
+"""
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
 
 
 @pytest.mark.parametrize(
