@@ -7,9 +7,19 @@ history refinement is needed there. The single-spin machine runs over
 sliding windows instead, where equal one-spin emission vectors are only a
 necessary condition and the partition is refined until emitting a spin
 maps whole states onto whole states.
+
+Rows are taken as coincident within MERGE_TOL in max-norm. On most points
+no two rows of a class come that close, and an exact screen on sorted
+projections of the rows shows it in O(S^2) per point: those get one
+causal state per recurrent state at once. Only the points it cannot clear
+(near-equal rows, or entries that are not finite) run the O(S^3) row
+distances and, when two states merged, the refinement's signature
+comparisons; all outputs are those of the full kernels, bit for bit.
 """
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,7 @@ MERGE_TOL = 1e-9
 _FORMS_TOL = 1e-9
 # Mutual-information excess entropies in (-this, 0) are rounding, read as 0.
 _CLAMP_EPS = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -337,7 +348,67 @@ def _close_groups(
     Returns each state's smallest linked state (-1 for transients) and,
     per point, the widest distance inside a linked group: above ``tol``
     the closeness is not transitive and no honest grouping exists.
+
+    Only the points that ``_may_link`` keeps run the O(S^3) row distances
+    of ``_linked_groups``; on every other point no two rows link, and the
+    groups are the singletons with spread 0.0, which is what the distances
+    would give.
     """
+    groups = _singletons(labels)
+    spread = np.zeros(len(emission))
+    full = _may_link(emission, labels, tol)
+    if full.any():
+        groups[full], spread[full] = _linked_groups(emission[full], labels[full], tol)
+    return groups, spread
+
+
+def _singletons(labels: np.ndarray) -> np.ndarray:
+    """Groups of one state each: each recurrent state its own, -1 for transients."""
+    return np.where(labels >= 0, np.arange(labels.shape[1]), -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _projection(width: int) -> np.ndarray:
+    """The screen's weights: linspace(-1, 1, width) scaled by a power of
+    two to an l1 norm of at most 1 (exactly 1 when width is a power of
+    two), so that every weight is exact. Read-only, as the cache shares it."""
+    steps = np.arange(1.0 - width, width, 2.0)
+    norm = np.abs(steps).sum()
+    weights = steps * 2.0 ** -math.ceil(math.log2(norm)) if norm else np.ones(1)
+    weights.flags.writeable = False
+    return weights
+
+
+def _may_link(emission: np.ndarray, labels: np.ndarray, tol: float) -> np.ndarray:
+    """Points on which two rows of one class may lie within ``tol``, or
+    some entry is not finite.
+
+    Rows a, b with |a - b|_inf <= tol project on weights w of l1 norm at
+    most 1 to within tol, since |w.(a - b)| <= |a - b|_inf. Summed in any
+    order over W columns, a projection is off by at most about
+    W eps/2 max|e|, so two are within tol + W eps max|e|; the slack
+    2 W eps max|e| covers that with room, and rounding the gap and the
+    threshold is monotone. So a class whose sorted projections all lie
+    further apart than tol plus the slack has no linked pair.
+    """
+    width = emission.shape[2]
+    projection = (emission * _projection(width)).sum(axis=2)
+    bound = np.abs(emission).max(axis=(1, 2))
+    threshold = tol + 2.0 * width * _EPS * bound
+    # by class, then by projection; transients (-1) link to nothing
+    order = np.lexsort((projection, labels))
+    points = np.arange(len(labels))[:, np.newaxis]
+    projection, labels = projection[points, order], labels[points, order]
+    neighbours = (labels[:, 1:] == labels[:, :-1]) & (labels[:, 1:] >= 0)
+    gaps = projection[:, 1:] - projection[:, :-1]
+    close = neighbours & ~(gaps > threshold[:, np.newaxis])
+    return close.any(axis=1) | ~np.isfinite(bound)
+
+
+def _linked_groups(
+    emission: np.ndarray, labels: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_close_groups`` from every row distance: the O(S^3) kernel."""
     n_points, size, width = emission.shape
     dist = np.empty((n_points, size, size))
     for points, rows, gap in row_blocks(n_points, size, (size, width), (float,)):
@@ -361,6 +432,22 @@ def _refine(
     groups: np.ndarray, labels: np.ndarray, emission: np.ndarray, successor: np.ndarray
 ) -> np.ndarray:
     """Split groups until emitting any symbol maps states onto states.
+
+    A grouping of singletons is its own fixed point, so only the points
+    whose grouping merged two states run ``_split_groups``.
+    """
+    merged = (groups != _singletons(labels)).any(axis=1)
+    if not merged.any():
+        return groups
+    groups = groups.copy()
+    groups[merged] = _split_groups(groups[merged], labels[merged], emission[merged], successor)
+    return groups
+
+
+def _split_groups(
+    groups: np.ndarray, labels: np.ndarray, emission: np.ndarray, successor: np.ndarray
+) -> np.ndarray:
+    """``_refine`` by signatures of every state pair: the O(S^3) kernel.
 
     A signature pairs a member's group with the groups its allowed
     emissions lead to; regrouping by signature can only split, so an

@@ -342,7 +342,11 @@ def restrict_to_class(chain: BlockChain, class_index: int) -> tuple[np.ndarray, 
 
 
 def closure(edges: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a (P, S, S) stack of boolean graphs."""
+    """Reflexive-transitive closure of a (P, S, S) stack of boolean graphs.
+
+    Squaring stops early at a fixed point: a reflexive relation equal to
+    its own square is transitive, and squaring leaves it unchanged.
+    """
     size = edges.shape[1]
     reach = edges.copy()
     reach.reshape(len(edges), -1)[:, :: size + 1] = True
@@ -350,7 +354,10 @@ def closure(edges: np.ndarray) -> np.ndarray:
     while steps < size - 1:
         # squaring doubles the path length covered; path counts are exact
         paths = reach.astype(float)
-        reach = paths @ paths > 0.0
+        squared = paths @ paths > 0.0
+        if np.array_equal(squared, reach):
+            break
+        reach = squared
         steps *= 2
     return reach
 

@@ -1,8 +1,9 @@
 """The O(S^3) kernels walk their rows in blocks of at most
 ``info._STACK_ENTRIES`` entries. Whatever the block size, every result must
-equal that of the unblocked arithmetic below, bit for bit. The consistency
-certificate is an O(S^2) bound; the measured gap of the public
-``consistency_residual`` never exceeds it."""
+equal that of the unblocked arithmetic below, bit for bit, and so must the
+screens that keep most points away from the causal-state kernels and the
+closure's early exit. The consistency certificate is an O(S^2) bound; the
+measured gap of the public ``consistency_residual`` never exceeds it."""
 
 import tracemalloc
 import warnings
@@ -148,11 +149,17 @@ def test_blocked_kernels_match_unblocked_arithmetic(make_stack, monkeypatch):
         for (emission, labels, successor), (ref_groups, ref_spread, ref_refined) in zip(
             grouped, references
         ):
-            groups, spread = machine._close_groups(emission, labels, machine.MERGE_TOL)
-            assert groups.tobytes() == ref_groups.tobytes()
-            assert spread.tobytes() == ref_spread.tobytes()
-            refined = machine._refine(groups, labels, emission, successor)
-            assert refined.tobytes() == ref_refined.tobytes()
+            # the kernels themselves, then behind the screens, which keep
+            # most of these points away from them
+            for close, refine in [
+                (machine._linked_groups, machine._split_groups),
+                (machine._close_groups, machine._refine),
+            ]:
+                groups, spread = close(emission, labels, machine.MERGE_TOL)
+                assert groups.tobytes() == ref_groups.tobytes()
+                assert spread.tobytes() == ref_spread.tobytes()
+                refined = refine(groups, labels, emission, successor)
+                assert refined.tobytes() == ref_refined.tobytes()
     if make_stack is _nnn_stack:
         # the ground state J1 = 1, J2 = -1 has two recurrent classes
         assert chains.labels[0].max() == 1
@@ -193,9 +200,225 @@ def test_row_distances_match_unblocked_near_the_merge_tolerance(monkeypatch):
     assert (ref_groups != np.arange(6)).any()
     for budget in (17, 3 * 18, 2 * 6 * 18):
         monkeypatch.setattr(info, "_STACK_ENTRIES", budget)
-        groups, spread = machine._close_groups(emission, labels, tol)
-        assert groups.tobytes() == ref_groups.tobytes()
-        assert spread.tobytes() == ref_spread.tobytes()
+        for close in (machine._linked_groups, machine._close_groups):
+            groups, spread = close(emission, labels, tol)
+            assert groups.tobytes() == ref_groups.tobytes()
+            assert spread.tobytes() == ref_spread.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the screen in front of the row distances
+# ----------------------------------------------------------------------
+
+_TOL = machine.MERGE_TOL
+_SCREEN_SPACE = BlockSpace(BINARY, 3)
+
+
+def _spread_rows():
+    """Eight two-column rows (x, 1 - x) with x 0.11 apart: no pair is close,
+    and neither are their projections."""
+    x = 0.05 + 0.11 * np.arange(8)
+    return np.stack([x, 1.0 - x], axis=1), np.zeros(8, dtype=int)
+
+
+def _colliding_rows():
+    # (a, b) and (a + d, b + d) project alike on antisymmetric weights
+    emission, labels = _spread_rows()
+    emission[1] = emission[0] + 1e-3
+    return emission, labels
+
+
+def _rows_apart(gap):
+    emission, labels = _spread_rows()
+    emission[0] = (0.0, 1.0)
+    emission[1] = (gap, 1.0)
+    return emission, labels
+
+
+def _nan_row():
+    emission, labels = _spread_rows()
+    emission[3, 0] = np.nan
+    return emission, labels
+
+
+def _nan_transient():
+    # every class has one state, so no gap is compared: only the
+    # finiteness check sends the point on
+    emission, _ = _nan_row()
+    return emission, np.array([0, 1, 2, -1, 3, 4, 5, 6])
+
+
+def _zero_transients():
+    emission, labels = _spread_rows()
+    transient = [2, 4, 5, 6]
+    emission[transient] = 0.0
+    labels[transient] = -1
+    return emission, labels
+
+
+def _equal_rows_of_two_classes():
+    emission, labels = _spread_rows()
+    emission[4] = emission[0]
+    labels[4:] = 1
+    return emission, labels
+
+
+# (id, make, whether the row distances must run)
+SCREEN_CASES = [
+    ("spread", _spread_rows, False),
+    ("projections-collide", _colliding_rows, True),
+    ("tol-apart", partial(_rows_apart, _TOL), True),
+    ("ulp-past-tol", partial(_rows_apart, np.nextafter(_TOL, 1.0)), True),
+    ("nan-row", _nan_row, True),
+    ("nan-transient", _nan_transient, True),
+    ("zero-transients", _zero_transients, False),
+    ("equal-rows-two-classes", _equal_rows_of_two_classes, False),
+]
+
+
+def _kernel_spies(monkeypatch):
+    """Counts of the points that enter the two O(S^3) kernels."""
+    entered = {"_linked_groups": 0, "_split_groups": 0}
+    for name in entered:
+        kernel = getattr(machine, name)
+
+        def spy(*args, _kernel=kernel, _name=name):
+            entered[_name] += len(args[0])
+            return _kernel(*args)
+
+        monkeypatch.setattr(machine, name, spy)
+    return entered
+
+
+def _screened(emission, labels, successor):
+    groups, spread = machine._close_groups(emission, labels, _TOL)
+    return groups, spread, machine._refine(groups, labels, emission, successor)
+
+
+def _referenced(emission, labels, successor):
+    groups, spread = _reference_close_groups(emission, labels, _TOL)
+    return groups, spread, _reference_refine(groups, labels, emission, successor)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, full", [pytest.param(make, full, id=name) for name, make, full in SCREEN_CASES]
+)
+def test_screen_matches_the_full_kernels(make, full, monkeypatch):
+    entered = _kernel_spies(monkeypatch)
+    emission, labels = (a[np.newaxis] for a in make())
+    successor = _SCREEN_SPACE.shift_table
+    _assert_same_bits(
+        _screened(emission, labels, successor), _referenced(emission, labels, successor)
+    )
+    assert entered["_linked_groups"] == int(full)
+
+
+def test_rows_tol_apart_link_and_one_ulp_further_do_not():
+    emission, labels = (a[np.newaxis] for a in _rows_apart(_TOL))
+    groups, spread = machine._close_groups(emission, labels, _TOL)
+    assert groups[0, :2].tolist() == [0, 0] and spread[0] == _TOL
+    emission, labels = (a[np.newaxis] for a in _rows_apart(np.nextafter(_TOL, 1.0)))
+    groups, spread = machine._close_groups(emission, labels, _TOL)
+    assert groups[0, :2].tolist() == [0, 1] and spread[0] == 0.0
+
+
+def test_screen_slack_keeps_rows_whose_projections_round_apart(monkeypatch):
+    # b = a - tol sign(w): |a - b|_inf rounds to just below tol, while the
+    # rounded projections land just over tol apart
+    weights = machine._projection(4)
+    a = np.array([0.564, 0.131, 0.209, 0.097])
+    b = a - _TOL * np.sign(weights)
+    assert np.abs(a - b).max() <= _TOL < abs((b * weights).sum() - (a * weights).sum())
+    emission = np.stack([a, b, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])[np.newaxis]
+    labels = np.zeros((1, 4), dtype=int)
+    successor = np.arange(4)[np.newaxis, :]
+    entered = _kernel_spies(monkeypatch)
+    screened = _screened(emission, labels, successor)
+    _assert_same_bits(screened, _referenced(emission, labels, successor))
+    assert screened[0][0].tolist() == [0, 0, 2, 3]
+    assert entered == {"_linked_groups": 1, "_split_groups": 1}
+
+
+def test_mixed_stack_equals_each_point_alone(monkeypatch):
+    entered = _kernel_spies(monkeypatch)
+    cases = [make() for _, make, _ in SCREEN_CASES]
+    emission = np.stack([e for e, _ in cases])
+    labels = np.stack([lab for _, lab in cases])
+    successor = _SCREEN_SPACE.shift_table
+    stacked = _screened(emission, labels, successor)
+    full = sum(full for *_, full in SCREEN_CASES)
+    # only the points that need them entered the kernels; one merged
+    assert entered == {"_linked_groups": full, "_split_groups": 1}
+    _assert_same_bits(stacked, _referenced(emission, labels, successor))
+    for p in range(len(cases)):
+        alone = _screened(emission[p : p + 1], labels[p : p + 1], successor)
+        _assert_same_bits([a[p : p + 1] for a in stacked], alone)
+
+
+def test_generic_range_six_stack_skips_the_full_kernels(monkeypatch):
+    space, transfers = _product_stack(6)
+    transfers = [ts for ts in transfers if ts.beta < GROUND_STATE_BETA]
+    log_v, log_right, log_left = _transfer_arrays(transfers)
+    points, size = log_v.shape[:2]
+    chains, windows = markov.invert_stack(space, log_v, log_right, log_left, [None] * points)
+    spin_emission = windows.matrix[:, np.arange(size)[:, np.newaxis], space.shift_table]
+    entered = _kernel_spies(monkeypatch)
+    for emission, labels, successor in [
+        (chains.rows, chains.labels, np.arange(size)[np.newaxis, :]),
+        (spin_emission, windows.labels, space.shift_table),
+    ]:
+        _assert_same_bits(
+            _screened(emission, labels, successor), _referenced(emission, labels, successor)
+        )
+    assert entered == {"_linked_groups": 0, "_split_groups": 0}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 64, 100])
+def test_projection_weights_are_exact_with_l1_norm_at_most_one(width):
+    weights = machine._projection(width)
+    assert len(weights) == width
+    norm = np.abs(weights).sum()
+    assert norm <= 1.0
+    if width & (width - 1) == 0:
+        assert norm == 1.0
+    # integers over a power of two, so no weight was rounded
+    assert (weights * 2**20 == np.round(weights * 2**20)).all()
+
+
+# ----------------------------------------------------------------------
+# reachability closure
+# ----------------------------------------------------------------------
+
+
+def _path_graph(size):
+    edges = np.zeros((size, size), dtype=bool)
+    edges[np.arange(size - 1), np.arange(1, size)] = True
+    return edges
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 16, 33, 128, 256])
+def test_closure_matches_reference_on_path_and_complete_graphs(size):
+    # a path needs every squaring; a complete graph is closed at once
+    edges = np.stack([_path_graph(size), _path_graph(size).T, np.ones((size, size), dtype=bool)])
+    assert markov.closure(edges).tobytes() == _reference_closure(edges).tobytes()
+    for graph in edges:
+        alone = markov.closure(graph[np.newaxis])
+        assert alone.tobytes() == _reference_closure(graph[np.newaxis]).tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 7, 8, 16, 31, 64, 100, 256])
+def test_closure_matches_reference_on_sparse_graphs(size):
+    rng = np.random.default_rng(size)
+    density = np.array([0.0, 0.5, 1.0, 2.0, 4.0])[:, np.newaxis, np.newaxis] / size
+    edges = rng.random((5, size, size)) < density
+    reach = markov.closure(edges)
+    assert reach.tobytes() == _reference_closure(edges).tobytes()
+    assert not np.shares_memory(reach, edges)
 
 
 def _flat_gap_case(size=4):
